@@ -119,6 +119,7 @@ DisaggClusterReport DisaggCluster::Run() {
     const bool servable =
         usable && len > 0 && r.max_new_tokens > 0 &&
         len + r.max_new_tokens <= max_seq &&
+        model_->config().InVocab(r.prompt) &&
         prefills[0].cache.BlocksForTokens(len) <=
             prefills[0].cache.total_blocks() &&
         decodes[0].cache.BlocksForTokens(len + r.max_new_tokens) <=
@@ -152,9 +153,8 @@ DisaggClusterReport DisaggCluster::Run() {
     inst.free_at_s = done_s;
     ++report.prefills;
 
-    const FloatMatrix logits =
-        model_->Prefill(r.prompt, cfg_.backend, &inst.cache, r.id);
-    r.generated.push_back(GreedyToken(logits, len - 1));
+    r.generated.push_back(
+        model_->Prefill(r.prompt, cfg_.backend, &inst.cache, r.id));
 
     // KV handoff: the prompt's cache pages cross the fabric once, priced on
     // the cost model (the executing tiny pools are stand-ins).

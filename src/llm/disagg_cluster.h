@@ -29,8 +29,9 @@
 // prefill_ms + kv_transfer_ms. The cross-check tests match TTFT, tpot, and
 // decode throughput against PlanDisaggregation to <= 1e-9 relative.
 //
-// Degenerate configs reject gracefully: zero instances, empty prompts, or
-// prompts that could never fit a pool finish as kRejected — no UB, no CHECK.
+// Degenerate configs reject gracefully: zero instances, empty prompts,
+// prompts with a token outside the vocabulary, or prompts that could never
+// fit a pool finish as kRejected — no UB, no CHECK.
 #pragma once
 
 #include <cstdint>

@@ -129,26 +129,10 @@ std::string ExecServingReport::ToString() const {
 
 ServingEngine::ServingEngine(const TinyTransformer* model,
                              const ServingEngineConfig& cfg)
-    : owned_substrate_(std::make_unique<SingleInstanceSubstrate>(
-          model, cfg.kv_block_tokens, cfg.kv_num_blocks)),
-      substrate_(owned_substrate_.get()),
-      cfg_(cfg) {
-  SPINFER_CHECK(cfg.max_batch > 0);
-  SPINFER_CHECK(cfg.prefill_chunk_tokens >= 0);
-  if (kServingObs) {
-    if (cfg.obs.request_timeline) {
-      request_log_ = std::make_unique<obs::RequestLog>(cfg.obs.wall_clock);
-    }
-    if (cfg.obs.flight_recorder_iters > 0) {
-      flight_recorder_ =
-          std::make_unique<obs::FlightRecorder>(cfg.obs.flight_recorder_iters);
-    }
-    if (cfg.obs.slo_tracker) {
-      obs::SloTrackerConfig slo;
-      slo.window_iters = cfg.obs.slo_window_iters;
-      slo_tracker_ = std::make_unique<obs::SloTracker>(slo);
-    }
-  }
+    : ServingEngine(new SingleInstanceSubstrate(model, cfg.kv_block_tokens,
+                                                cfg.kv_num_blocks),
+                    cfg) {
+  owned_substrate_.reset(substrate_);  // adopt what the delegation borrowed
 }
 
 ServingEngine::ServingEngine(ServingSubstrate* substrate,
@@ -261,6 +245,13 @@ ExecServingReport ServingEngine::Run() {
            records_[static_cast<size_t>(b)].arrival_s;
   });
   std::deque<int64_t> queue(order.begin(), order.end());
+  // A prompt token outside the vocabulary cannot be embedded: such a request
+  // is rejected at queue head like any other unservable one, never run (its
+  // step would abort every in-flight request). Scanned once per request.
+  std::vector<bool> in_vocab(records_.size());
+  for (size_t i = 0; i < records_.size(); ++i) {
+    in_vocab[i] = substrate_->model_config().InVocab(records_[i].prompt);
+  }
 
   // Observability is read-only on engine state: everything below that touches
   // tl / flight_recorder_ / slo_tracker_ records what already happened and
@@ -390,7 +381,7 @@ ExecServingReport ServingEngine::Run() {
       if (r.arrival_s > now_s) {
         break;
       }
-      if (!IsServable(r)) {
+      if (!in_vocab[static_cast<size_t>(r.id)] || !IsServable(r)) {
         queue.pop_front();
         r.reason = FinishReason::kRejected;
         r.finish_s = now_s;

@@ -244,12 +244,13 @@ class ServingEngine {
   };
 
   // A request the pool could never hold, or that overflows the model's
-  // context window, is rejected at queue-head time.
+  // context window, is rejected at queue-head time (as is one whose prompt
+  // fails TinyConfig::InVocab, checked once per request in Run).
   bool IsServable(const RequestRecord& r) const;
 
   // Owned when constructed from a TinyTransformer; null when the substrate
   // is borrowed. `substrate_` is the working pointer either way.
-  std::unique_ptr<SingleInstanceSubstrate> owned_substrate_;
+  std::unique_ptr<ServingSubstrate> owned_substrate_;
   ServingSubstrate* substrate_;
   ServingEngineConfig cfg_;
 

@@ -2,6 +2,11 @@
 // TinyTransformer behind the ServingSubstrate seam, bit-identical to the
 // single-instance engine at any shard count.
 //
+// A shard is a row band of the model (TinyTransformer::RowBand): every step
+// is the model's own MixedStep over the shards' bands, so there is one layer
+// implementation and this class holds only weight partitions, KV pools and
+// bookkeeping.
+//
 // Partitioning. Megatron splits each layer column/row-wise and joins the
 // K-dim partial sums with a floating-point all-reduce — which reassociates
 // additions and cannot be bit-identical to the unsharded model. This engine
@@ -13,11 +18,13 @@
 // cut at GroupTile (gt_rows) boundaries so the sliced sparse kernels traverse
 // the same tiles in the same order as the whole-matrix encode. Consequences:
 //   * Token streams, logits, and KV bytes are bit-identical to
-//     TinyTransformer::MixedStep for any shard count, batch mix, and thread
-//     count.
+//     TinyTransformer::MixedStep for any shard count, batch mix, backend and
+//     thread count.
 //   * Attention shards by query head (heads % shards == 0); under GQA the kv
 //     groups must not straddle a shard cut (kv_heads % shards == 0), so each
 //     shard's cache holds exactly its own kv heads' rows (kv_dim / shards).
+//   * Sharded steps trace under the model's `tt.*` span names, one
+//     `tt.matmul.*` / `tt.attention` span per shard.
 //
 // Time model ("execution real, clock virtual", like ServingEngine): the
 // virtual interconnect still prices the canonical Megatron schedule — two
@@ -91,40 +98,20 @@ class ShardedEngine : public ServingSubstrate {
   std::string StatsToString() const;
 
  private:
-  struct ShardLayer {
-    // Output-row slices: wq/wo rows [s*h/g, (s+1)*h/g), wk/wv rows
-    // [s*kvd/g, ...), fc1 rows [s*ffn/g, ...), fc2 rows [s*h/g, ...). All
-    // span the full input (K) dimension.
-    HalfMatrix wq, wk, wv, wo, fc1, fc2;
-    TcaBmeMatrix enc_wq, enc_wk, enc_wv, enc_wo, enc_fc1, enc_fc2;
-  };
   struct Shard {
-    std::vector<ShardLayer> layers;
+    // Output-row band of every layer: shard s owns rows [s*R/g, (s+1)*R/g)
+    // of each weight (R = its row count), spanning the full input dimension.
+    std::vector<TinyTransformer::Layer> layers;
     PagedKvCache cache;  // kv_dim / shards rows per token
-    // Per-shard output panels (row bands before the gather).
-    FloatMatrix q, kk, v, attn_out, proj, hidden_act, ffn_out;
-
-    explicit Shard(const PagedKvCacheConfig& kv) : cache(kv) {}
   };
-
-  // out = W_slice * x on `backend` (same numerics as TinyTransformer's
-  // MatmulInto, against one shard's row slice).
-  void MatmulInto(const HalfMatrix& dense, const TcaBmeMatrix& encoded,
-                  const FloatMatrix& x, MatmulBackend backend,
-                  const char* label, FloatMatrix* out);
 
   const TinyTransformer* model_;
   ShardedEngineConfig cfg_;
   std::vector<Shard> shards_;
-
-  // Shared (sequential across shards) scratch: the full activation panel and
-  // the gathered projections, plus the matmul/attention workspaces.
-  FloatMatrix act_, normed_, attn_full_, proj_full_, ffn_in_, hidden_full_,
-      ffn_out_full_, logits_;
-  HalfMatrix xh_;
-  SpmmWorkspace ws_;
-  PagedAttentionScratch attn_scratch_;
-  std::vector<PagedAttentionItem> attn_items_;
+  // Band views of shards_, rebuilt per step, and this engine's own step
+  // scratch — the model's scratch is never touched.
+  std::vector<TinyTransformer::RowBand> bands_;
+  TinyTransformer::StepScratch scratch_;
 
   int64_t steps_ = 0;
   double comm_us_ = 0.0;

@@ -12,6 +12,16 @@
 namespace spinfer {
 namespace {
 
+using Weight = TinyTransformer::Weight;
+using Layer = TinyTransformer::Layer;
+using RowBand = TinyTransformer::RowBand;
+using StepScratch = TinyTransformer::StepScratch;
+
+// Every weight of a layer, in initialization order, for code that treats all
+// six alike.
+constexpr Weight Layer::*kLayerWeights[] = {&Layer::wq, &Layer::wk,  &Layer::wv,
+                                            &Layer::wo, &Layer::fc1, &Layer::fc2};
+
 // Encoding geometry for the tiny weights: GroupTile = one TCTile keeps the
 // padding overhead negligible at hidden sizes of 64.
 TcaBmeConfig TinyFormat() {
@@ -34,6 +44,12 @@ void ToHalfInto(const FloatMatrix& f, HalfMatrix* h) {
 void CopyInto(const FloatMatrix& src, FloatMatrix* dst) {
   dst->Reshape(src.rows(), src.cols());
   std::copy(src.data(), src.data() + src.size(), dst->data());
+}
+
+// Copies band panel `src` into rows [row0, row0 + src.rows()) of `dst` — the
+// zero-arithmetic stand-in for a tensor-parallel all-gather.
+void GatherRows(const FloatMatrix& src, int64_t row0, FloatMatrix* dst) {
+  std::copy(src.data(), src.data() + src.size(), dst->data() + row0 * dst->cols());
 }
 
 // LayerNorm over the hidden dimension. Activations are (hidden x seq):
@@ -65,7 +81,51 @@ float Gelu(float x) {
   return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
 }
 
+// out = W*X on the selected backend, from FP32 activations: the sparse path
+// quantizes to FP16 while filling the SpMM panel (CpuSpmmQuantInto), the
+// dense reference path stages an explicit FP16 copy — both see the same FP16
+// activation bits. `label` is a static string literal naming the matmul's
+// trace span (e.g. "tt.matmul.wq").
+void MatmulInto(const Weight& w, const FloatMatrix& x, MatmulBackend backend,
+                const char* label, StepScratch* s, FloatMatrix* out) {
+  SPINFER_TRACE_SCOPE(label);
+  if (backend == MatmulBackend::kDense) {
+    ToHalfInto(x, &s->xh);
+    *out = ReferenceGemm(w.dense, s->xh);
+    return;
+  }
+  CpuSpmmQuantInto(w.enc, x, &s->ws, out);
+}
+
+// out = W*X for weight `w` of `layer`, band by band: each band's rows land in
+// its own `panel` and are row-gathered into `out` (bands are equal slices in
+// order). A single band writes `out` directly.
+void BandMatmul(std::span<const RowBand> bands, int64_t layer, Weight Layer::*w,
+                FloatMatrix StepScratch::BandPanels::*panel, const FloatMatrix& x,
+                MatmulBackend backend, const char* label, StepScratch* s,
+                FloatMatrix* out) {
+  auto weight = [&](size_t b) -> const Weight& {
+    return (*bands[b].layers)[static_cast<size_t>(layer)].*w;
+  };
+  if (bands.size() == 1) {
+    MatmulInto(weight(0), x, backend, label, s, out);
+    return;
+  }
+  const int64_t rows = weight(0).dense.rows();
+  out->Reshape(rows * static_cast<int64_t>(bands.size()), x.cols());
+  for (size_t b = 0; b < bands.size(); ++b) {
+    FloatMatrix& part = s->bands[b].*panel;
+    MatmulInto(weight(b), x, backend, label, s, &part);
+    GatherRows(part, static_cast<int64_t>(b) * rows, out);
+  }
+}
+
 }  // namespace
+
+bool TinyConfig::InVocab(const std::vector<int32_t>& tokens) const {
+  return std::all_of(tokens.begin(), tokens.end(),
+                     [this](int32_t t) { return t >= 0 && t < vocab; });
+}
 
 int32_t GreedyToken(const FloatMatrix& logits, int64_t row) {
   int32_t best = 0;
@@ -88,13 +148,13 @@ TinyTransformer::TinyTransformer(const TinyConfig& config, uint64_t seed)
   embedding_ = HalfMatrix::Random(config.vocab, config.hidden, rng, scale);
   layers_.resize(static_cast<size_t>(config.layers));
   for (Layer& l : layers_) {
-    l.wq = HalfMatrix::Random(config.hidden, config.hidden, rng, scale);
-    l.wk = HalfMatrix::Random(config.kv_dim(), config.hidden, rng, scale);
-    l.wv = HalfMatrix::Random(config.kv_dim(), config.hidden, rng, scale);
-    l.wo = HalfMatrix::Random(config.hidden, config.hidden, rng, scale);
-    l.fc1 = HalfMatrix::Random(config.ffn, config.hidden, rng, scale);
-    l.fc2 = HalfMatrix::Random(config.hidden, config.ffn, rng,
-                               1.0f / std::sqrt(static_cast<float>(config.ffn)));
+    l.wq.dense = HalfMatrix::Random(config.hidden, config.hidden, rng, scale);
+    l.wk.dense = HalfMatrix::Random(config.kv_dim(), config.hidden, rng, scale);
+    l.wv.dense = HalfMatrix::Random(config.kv_dim(), config.hidden, rng, scale);
+    l.wo.dense = HalfMatrix::Random(config.hidden, config.hidden, rng, scale);
+    l.fc1.dense = HalfMatrix::Random(config.ffn, config.hidden, rng, scale);
+    l.fc2.dense = HalfMatrix::Random(config.hidden, config.ffn, rng,
+                                     1.0f / std::sqrt(static_cast<float>(config.ffn)));
   }
   EncodeAll();
 }
@@ -102,39 +162,47 @@ TinyTransformer::TinyTransformer(const TinyConfig& config, uint64_t seed)
 void TinyTransformer::EncodeAll() {
   const TcaBmeConfig fmt = TinyFormat();
   for (Layer& l : layers_) {
-    l.enc_wq = TcaBmeMatrix::Encode(l.wq, fmt);
-    l.enc_wk = TcaBmeMatrix::Encode(l.wk, fmt);
-    l.enc_wv = TcaBmeMatrix::Encode(l.wv, fmt);
-    l.enc_wo = TcaBmeMatrix::Encode(l.wo, fmt);
-    l.enc_fc1 = TcaBmeMatrix::Encode(l.fc1, fmt);
-    l.enc_fc2 = TcaBmeMatrix::Encode(l.fc2, fmt);
+    for (Weight Layer::*w : kLayerWeights) {
+      (l.*w).enc = TcaBmeMatrix::Encode((l.*w).dense, fmt);
+    }
   }
 }
 
 void TinyTransformer::PruneWeights(const Pruner& pruner, double sparsity) {
   for (Layer& l : layers_) {
-    l.wq = pruner.Prune(l.wq, sparsity);
-    l.wk = pruner.Prune(l.wk, sparsity);
-    l.wv = pruner.Prune(l.wv, sparsity);
-    l.wo = pruner.Prune(l.wo, sparsity);
-    l.fc1 = pruner.Prune(l.fc1, sparsity);
-    l.fc2 = pruner.Prune(l.fc2, sparsity);
+    for (Weight Layer::*w : kLayerWeights) {
+      (l.*w).dense = pruner.Prune((l.*w).dense, sparsity);
+    }
   }
   EncodeAll();
 }
 
-void TinyTransformer::MatmulInto(const HalfMatrix& dense, const TcaBmeMatrix& encoded,
-                                 const FloatMatrix& x, MatmulBackend backend,
-                                 const char* label, FloatMatrix* out) const {
-  SPINFER_TRACE_SCOPE(label);
-  if (backend == MatmulBackend::kDense) {
-    ToHalfInto(x, &scratch_.xh);
-    *out = ReferenceGemm(dense, scratch_.xh);
-    return;
+std::vector<TinyTransformer::Layer> TinyTransformer::RowBandLayers(
+    int64_t band, int64_t bands) const {
+  SPINFER_CHECK(bands >= 1 && band >= 0 && band < bands);
+  // Head-aligned cuts: each band owns whole query heads, and whole kv groups
+  // so no query head reads another band's kv rows.
+  SPINFER_CHECK_MSG(config_.heads % bands == 0, "heads must divide by band count");
+  SPINFER_CHECK_MSG(config_.kv_head_count() % bands == 0,
+                    "kv heads must divide by band count");
+  const TcaBmeConfig fmt = TinyFormat();
+  std::vector<Layer> out(layers_.size());
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    for (Weight Layer::*w : kLayerWeights) {
+      const HalfMatrix& full = (layers_[i].*w).dense;
+      const int64_t rows = full.rows() / bands;
+      // GroupTile-aligned cuts: slices encoded with the model's own geometry
+      // traverse the same tiles as the whole-matrix encode.
+      SPINFER_CHECK_MSG(full.rows() % bands == 0 && rows % fmt.gt_rows == 0,
+                        "row band must be a GroupTile-row multiple");
+      Weight& slice = out[i].*w;
+      slice.dense = HalfMatrix(rows, full.cols());
+      const Half* src = full.data() + band * rows * full.cols();
+      std::copy(src, src + rows * full.cols(), slice.dense.data());
+      slice.enc = TcaBmeMatrix::Encode(slice.dense, fmt);
+    }
   }
-  // The sparse path quantizes to FP16 on panel fill — bit-identical to the
-  // explicit ToHalfInto staging above, one conversion pass cheaper.
-  CpuSpmmQuantInto(encoded, x, &scratch_.ws, out);
+  return out;
 }
 
 int64_t TinyTransformer::MatmulScratchGrowCount() const {
@@ -142,13 +210,18 @@ int64_t TinyTransformer::MatmulScratchGrowCount() const {
 }
 
 uint64_t TinyTransformer::MatmulScratchCapacityBytes() const {
-  const MatmulScratch& s = scratch_;
+  const StepScratch& s = scratch_;
   uint64_t bytes = s.ws.capacity_bytes() + s.xh.capacity() * sizeof(Half) +
                    s.scores.capacity() * sizeof(float) + s.attn.capacity_bytes() +
                    s.attn_items.capacity() * sizeof(PagedAttentionItem);
-  for (const FloatMatrix* m :
-       {&s.normed, &s.q, &s.kk, &s.v, &s.attn_out, &s.proj, &s.ffn_in,
-        &s.hidden_act, &s.ffn_out, &s.act, &s.logits}) {
+  std::vector<const FloatMatrix*> panels = {&s.act,    &s.normed,     &s.attn_out,
+                                            &s.proj,   &s.ffn_in,     &s.hidden_act,
+                                            &s.ffn_out, &s.logits};
+  for (const StepScratch::BandPanels& p : s.bands) {
+    panels.insert(panels.end(), {&p.q, &p.kk, &p.v, &p.attn_out, &p.proj,
+                                 &p.hidden_act, &p.ffn_out});
+  }
+  for (const FloatMatrix* m : panels) {
     bytes += m->capacity() * sizeof(float);
   }
   return bytes;
@@ -170,14 +243,10 @@ void TinyTransformer::EmbedInto(int32_t token, int64_t pos, int64_t col,
   }
 }
 
-FloatMatrix TinyTransformer::Forward(const std::vector<int32_t>& tokens,
-                                     MatmulBackend backend) const {
-  return ForwardImpl(tokens, backend, /*cache=*/nullptr, /*seq_id=*/-1);
-}
-
 TinyTransformer::LayerWeights TinyTransformer::layer_weights(int64_t layer) const {
   const Layer& l = layers_[static_cast<size_t>(layer)];
-  return LayerWeights{&l.wq, &l.wk, &l.wv, &l.wo, &l.fc1, &l.fc2};
+  return LayerWeights{&l.wq.dense, &l.wk.dense,  &l.wv.dense,
+                      &l.wo.dense, &l.fc1.dense, &l.fc2.dense};
 }
 
 TcaBmeConfig TinyTransformer::EncodeFormat() { return TinyFormat(); }
@@ -192,23 +261,25 @@ PagedKvCacheConfig TinyTransformer::KvCacheConfig(int64_t block_tokens,
   return cfg;
 }
 
-FloatMatrix TinyTransformer::Prefill(const std::vector<int32_t>& tokens,
-                                     MatmulBackend backend, PagedKvCache* cache,
-                                     int64_t seq_id) const {
+int32_t TinyTransformer::Prefill(const std::vector<int32_t>& tokens,
+                                 MatmulBackend backend, PagedKvCache* cache,
+                                 int64_t seq_id) const {
   SPINFER_CHECK(cache != nullptr);
   SPINFER_CHECK_EQ(cache->SequenceTokens(seq_id),
                    static_cast<int64_t>(tokens.size()));
-  return ForwardImpl(tokens, backend, cache, seq_id);
+  const std::vector<PrefillChunk> whole = {
+      {seq_id, &tokens, /*start=*/0, static_cast<int64_t>(tokens.size())}};
+  std::vector<int32_t> first;
+  MixedStep({}, {}, whole, backend, cache, /*dec_next=*/nullptr, &first);
+  return first[0];
 }
 
-FloatMatrix TinyTransformer::ForwardImpl(const std::vector<int32_t>& tokens,
-                                         MatmulBackend backend,
-                                         PagedKvCache* cache, int64_t seq_id) const {
+FloatMatrix TinyTransformer::Forward(const std::vector<int32_t>& tokens,
+                                     MatmulBackend backend) const {
   const int64_t seq = static_cast<int64_t>(tokens.size());
   SPINFER_CHECK(seq > 0 && seq <= config_.max_seq);
   const int64_t h = config_.hidden;
   const int64_t hd = config_.head_dim();
-  const int64_t kvd = config_.kv_dim();
   // Grouped-query attention: query head `head` reads kv head `head / group`.
   const int64_t group = config_.heads / config_.kv_head_count();
 
@@ -224,7 +295,9 @@ FloatMatrix TinyTransformer::ForwardImpl(const std::vector<int32_t>& tokens,
     }
   }
 
-  MatmulScratch& s = scratch_;
+  StepScratch& s = scratch_;
+  s.bands.resize(1);  // the whole model is one band
+  StepScratch::BandPanels& p = s.bands[0];
   for (size_t layer_idx = 0; layer_idx < layers_.size(); ++layer_idx) {
     const Layer& l = layers_[layer_idx];
     SPINFER_TRACE_SCOPE_ARG("tt.layer", "layer",
@@ -232,23 +305,12 @@ FloatMatrix TinyTransformer::ForwardImpl(const std::vector<int32_t>& tokens,
     // --- Attention block (pre-LN). ---
     CopyInto(act, &s.normed);
     LayerNormColumns(&s.normed);
-    MatmulInto(l.wq, l.enc_wq, s.normed, backend, "tt.matmul.wq", &s.q);
-    MatmulInto(l.wk, l.enc_wk, s.normed, backend, "tt.matmul.wk", &s.kk);
-    MatmulInto(l.wv, l.enc_wv, s.normed, backend, "tt.matmul.wv", &s.v);
-    const FloatMatrix& q = s.q;
-    const FloatMatrix& kk = s.kk;
-    const FloatMatrix& v = s.v;
-    if (cache != nullptr) {
-      // Prefill: persist every position's K/V columns for later paged decode.
-      for (int64_t t = 0; t < seq; ++t) {
-        float* krow = cache->KRow(static_cast<int64_t>(layer_idx), seq_id, t);
-        float* vrow = cache->VRow(static_cast<int64_t>(layer_idx), seq_id, t);
-        for (int64_t r = 0; r < kvd; ++r) {
-          krow[r] = kk.at(r, t);
-          vrow[r] = v.at(r, t);
-        }
-      }
-    }
+    MatmulInto(l.wq, s.normed, backend, "tt.matmul.wq", &s, &p.q);
+    MatmulInto(l.wk, s.normed, backend, "tt.matmul.wk", &s, &p.kk);
+    MatmulInto(l.wv, s.normed, backend, "tt.matmul.wv", &s, &p.v);
+    const FloatMatrix& q = p.q;
+    const FloatMatrix& kk = p.kk;
+    const FloatMatrix& v = p.v;
 
     s.attn_out.Reshape(h, seq);
     FloatMatrix& attn_out = s.attn_out;
@@ -286,7 +348,7 @@ FloatMatrix TinyTransformer::ForwardImpl(const std::vector<int32_t>& tokens,
         }
       }
     }
-    MatmulInto(l.wo, l.enc_wo, attn_out, backend, "tt.matmul.wo", &s.proj);
+    MatmulInto(l.wo, attn_out, backend, "tt.matmul.wo", &s, &s.proj);
     for (int64_t i = 0; i < act.size(); ++i) {
       act.data()[i] += s.proj.data()[i];  // residual
     }
@@ -294,11 +356,11 @@ FloatMatrix TinyTransformer::ForwardImpl(const std::vector<int32_t>& tokens,
     // --- FFN block (pre-LN, GELU). ---
     CopyInto(act, &s.ffn_in);
     LayerNormColumns(&s.ffn_in);
-    MatmulInto(l.fc1, l.enc_fc1, s.ffn_in, backend, "tt.matmul.fc1", &s.hidden_act);
+    MatmulInto(l.fc1, s.ffn_in, backend, "tt.matmul.fc1", &s, &s.hidden_act);
     for (int64_t i = 0; i < s.hidden_act.size(); ++i) {
       s.hidden_act.data()[i] = Gelu(s.hidden_act.data()[i]);
     }
-    MatmulInto(l.fc2, l.enc_fc2, s.hidden_act, backend, "tt.matmul.fc2", &s.ffn_out);
+    MatmulInto(l.fc2, s.hidden_act, backend, "tt.matmul.fc2", &s, &s.ffn_out);
     for (int64_t i = 0; i < act.size(); ++i) {
       act.data()[i] += s.ffn_out.data()[i];
     }
@@ -341,13 +403,33 @@ void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
                                 std::vector<int32_t>* dec_next,
                                 std::vector<int32_t>* chunk_next,
                                 FloatMatrix* dec_logits_out) const {
+  SPINFER_CHECK(cache != nullptr);
+  const RowBand whole{&layers_, cache};
+  MixedStep(dec_ids, dec_last, chunks, backend, std::span(&whole, 1), &scratch_,
+            dec_next, chunk_next, dec_logits_out);
+}
+
+void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
+                                const std::vector<int32_t>& dec_last,
+                                const std::vector<PrefillChunk>& chunks,
+                                MatmulBackend backend,
+                                std::span<const RowBand> bands,
+                                StepScratch* scratch,
+                                std::vector<int32_t>* dec_next,
+                                std::vector<int32_t>* chunk_next,
+                                FloatMatrix* dec_logits_out) const {
   const int64_t dec = static_cast<int64_t>(dec_ids.size());
   SPINFER_CHECK_EQ(static_cast<int64_t>(dec_last.size()), dec);
-  SPINFER_CHECK(cache != nullptr);
   SPINFER_CHECK(dec_next != nullptr || dec == 0);
   SPINFER_CHECK(chunk_next != nullptr || chunks.empty());
+  SPINFER_CHECK(scratch != nullptr && !bands.empty());
+  const int64_t g = static_cast<int64_t>(bands.size());
+  SPINFER_CHECK(config_.heads % g == 0 && config_.kv_head_count() % g == 0);
+  for (const RowBand& band : bands) {
+    SPINFER_CHECK(band.layers != nullptr && band.cache != nullptr);
+  }
+  const PagedKvCache& accounting = *bands[0].cache;
   const int64_t h = config_.hidden;
-  const int64_t kvd = config_.kv_dim();
 
   // Panel width: one column per decode sequence plus one per chunk token.
   int64_t n = dec;
@@ -355,7 +437,7 @@ void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
     SPINFER_CHECK(c.prompt != nullptr && c.count > 0 && c.start >= 0);
     const int64_t len = static_cast<int64_t>(c.prompt->size());
     SPINFER_CHECK(c.start + c.count <= len && len <= config_.max_seq);
-    SPINFER_CHECK_MSG(cache->SequenceTokens(c.seq_id) >= c.start + c.count,
+    SPINFER_CHECK_MSG(accounting.SequenceTokens(c.seq_id) >= c.start + c.count,
                       "chunk past the registered slots of sequence " << c.seq_id);
     n += c.count;
   }
@@ -363,90 +445,88 @@ void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
 
   SPINFER_TRACE_SCOPE_ARG("tt.decode", "batch", n);
 
-  MatmulScratch& s = scratch_;
-  // Append each decode sequence's new slot, then embed its last token at its
-  // absolute position. Admission reserved the blocks, so exhaustion here is
-  // a scheduler bug, not a runtime condition. Chunk columns embed prompt
-  // tokens at their absolute positions — the bits a full-sequence Forward
-  // would give those positions.
+  StepScratch& s = *scratch;
+  s.bands.resize(bands.size());
+  // Append each decode sequence's new slot — on every band's cache, in
+  // lockstep, so their block tables stay identical — then embed its last
+  // token at its absolute position. Admission reserved the blocks, so
+  // exhaustion here is a scheduler bug, not a runtime condition. Chunk
+  // columns embed prompt tokens at their absolute positions — the bits a
+  // full-sequence Forward would give those positions. Each column's
+  // attention item attends slots [0, context) and its own K/V lands in slot
+  // context - 1: decode columns see their whole context, chunk columns the
+  // causal horizon [0, pos] even though later slots of their chunk are
+  // written before attention runs.
+  // Producer columns are the ones whose logits are consumed: every decode
+  // column, and the final column of each chunk that completes its prompt.
   s.act.Reshape(h, n);
-  std::vector<int64_t> positions(static_cast<size_t>(dec));
+  s.attn_items.clear();
+  std::vector<int64_t> producer_cols;
+  producer_cols.reserve(static_cast<size_t>(dec) + chunks.size());
   for (int64_t i = 0; i < dec; ++i) {
-    SPINFER_CHECK_MSG(cache->AppendToken(dec_ids[i]),
-                      "KV pool exhausted mid-decode; admission must reserve "
-                      "blocks for a sequence's full max length");
-    positions[i] = cache->SequenceTokens(dec_ids[i]) - 1;
-    SPINFER_CHECK(positions[i] < config_.max_seq);
-    EmbedInto(dec_last[i], positions[i], /*col=*/i, &s.act);
+    for (const RowBand& band : bands) {
+      SPINFER_CHECK_MSG(band.cache->AppendToken(dec_ids[i]),
+                        "KV pool exhausted mid-decode; admission must reserve "
+                        "blocks for a sequence's full max length");
+    }
+    const int64_t pos = accounting.SequenceTokens(dec_ids[i]) - 1;
+    SPINFER_CHECK(pos < config_.max_seq);
+    EmbedInto(dec_last[i], pos, /*col=*/i, &s.act);
+    s.attn_items.push_back({dec_ids[i], /*col=*/i, /*context=*/pos + 1});
+    producer_cols.push_back(i);
   }
   {
     int64_t col = dec;
     for (const PrefillChunk& c : chunks) {
-      for (int64_t j = 0; j < c.count; ++j) {
+      for (int64_t j = 0; j < c.count; ++j, ++col) {
         EmbedInto((*c.prompt)[static_cast<size_t>(c.start + j)], c.start + j,
-                  col++, &s.act);
+                  col, &s.act);
+        s.attn_items.push_back({c.seq_id, col, /*context=*/c.start + j + 1});
+      }
+      if (c.start + c.count == static_cast<int64_t>(c.prompt->size())) {
+        producer_cols.push_back(col - 1);
       }
     }
   }
 
-  for (size_t layer_idx = 0; layer_idx < layers_.size(); ++layer_idx) {
-    const Layer& l = layers_[layer_idx];
-    SPINFER_TRACE_SCOPE_ARG("tt.layer", "layer",
-                            static_cast<int64_t>(layer_idx));
-    // --- Attention block (pre-LN). One SpMM per weight with N columns. ---
+  for (int64_t layer = 0; layer < config_.layers; ++layer) {
+    SPINFER_TRACE_SCOPE_ARG("tt.layer", "layer", layer);
+    // --- Attention block (pre-LN). Each band computes its rows of q/k/v
+    // from the full normed panel, stores its kv rows in its own cache, and
+    // attends with its own heads in one fused batched call. ---
     CopyInto(s.act, &s.normed);
     LayerNormColumns(&s.normed);
-    MatmulInto(l.wq, l.enc_wq, s.normed, backend, "tt.matmul.wq", &s.q);
-    MatmulInto(l.wk, l.enc_wk, s.normed, backend, "tt.matmul.wk", &s.kk);
-    MatmulInto(l.wv, l.enc_wv, s.normed, backend, "tt.matmul.wv", &s.v);
-    for (int64_t i = 0; i < dec; ++i) {
-      float* krow = cache->KRow(static_cast<int64_t>(layer_idx), dec_ids[i],
-                                positions[i]);
-      float* vrow = cache->VRow(static_cast<int64_t>(layer_idx), dec_ids[i],
-                                positions[i]);
-      for (int64_t r = 0; r < kvd; ++r) {
-        krow[r] = s.kk.at(r, i);
-        vrow[r] = s.v.at(r, i);
-      }
-    }
-    {
-      int64_t col = dec;
-      for (const PrefillChunk& c : chunks) {
-        for (int64_t j = 0; j < c.count; ++j, ++col) {
-          float* krow = cache->KRow(static_cast<int64_t>(layer_idx), c.seq_id,
-                                    c.start + j);
-          float* vrow = cache->VRow(static_cast<int64_t>(layer_idx), c.seq_id,
-                                    c.start + j);
-          for (int64_t r = 0; r < kvd; ++r) {
-            krow[r] = s.kk.at(r, col);
-            vrow[r] = s.v.at(r, col);
-          }
-        }
-      }
-    }
-
     s.attn_out.Reshape(h, n);
-    {
-      SPINFER_TRACE_SCOPE("tt.attention");
-      // One fused batched call covers every column: decode columns attend
-      // their full cached context, chunk columns attend the causal horizon
-      // [0, pos] even though later slots of their chunk are already written
-      // above.
-      s.attn_items.clear();
-      for (int64_t i = 0; i < dec; ++i) {
-        s.attn_items.push_back({dec_ids[i], /*col=*/i, /*context=*/-1});
-      }
-      int64_t col = dec;
-      for (const PrefillChunk& c : chunks) {
-        for (int64_t j = 0; j < c.count; ++j, ++col) {
-          s.attn_items.push_back({c.seq_id, col, /*context=*/c.start + j + 1});
+    for (size_t b = 0; b < bands.size(); ++b) {
+      const Layer& l = (*bands[b].layers)[static_cast<size_t>(layer)];
+      PagedKvCache& cache = *bands[b].cache;
+      StepScratch::BandPanels& p = s.bands[b];
+      MatmulInto(l.wq, s.normed, backend, "tt.matmul.wq", &s, &p.q);
+      MatmulInto(l.wk, s.normed, backend, "tt.matmul.wk", &s, &p.kk);
+      MatmulInto(l.wv, s.normed, backend, "tt.matmul.wv", &s, &p.v);
+      for (const PagedAttentionItem& it : s.attn_items) {
+        float* krow = cache.KRow(layer, it.seq_id, it.context - 1);
+        float* vrow = cache.VRow(layer, it.seq_id, it.context - 1);
+        for (int64_t r = 0; r < p.kk.rows(); ++r) {
+          krow[r] = p.kk.at(r, it.col);
+          vrow[r] = p.v.at(r, it.col);
         }
       }
-      PagedAttentionDecodeBatch(*cache, static_cast<int64_t>(layer_idx),
-                                config_.heads, config_.kv_head_count(), s.q,
-                                s.attn_items, &s.attn_out, &s.attn);
+      FloatMatrix& attn_out = g == 1 ? s.attn_out : p.attn_out;
+      attn_out.Reshape(p.q.rows(), n);
+      {
+        SPINFER_TRACE_SCOPE("tt.attention");
+        PagedAttentionDecodeBatch(cache, layer, config_.heads / g,
+                                  config_.kv_head_count() / g, p.q,
+                                  s.attn_items, &attn_out, &s.attn);
+      }
+      if (g > 1) {
+        GatherRows(attn_out, static_cast<int64_t>(b) * attn_out.rows(),
+                   &s.attn_out);
+      }
     }
-    MatmulInto(l.wo, l.enc_wo, s.attn_out, backend, "tt.matmul.wo", &s.proj);
+    BandMatmul(bands, layer, &Layer::wo, &StepScratch::BandPanels::proj,
+               s.attn_out, backend, "tt.matmul.wo", &s, &s.proj);
     for (int64_t i = 0; i < s.act.size(); ++i) {
       s.act.data()[i] += s.proj.data()[i];  // residual
     }
@@ -454,36 +534,22 @@ void TinyTransformer::MixedStep(const std::vector<int64_t>& dec_ids,
     // --- FFN block (pre-LN, GELU). ---
     CopyInto(s.act, &s.ffn_in);
     LayerNormColumns(&s.ffn_in);
-    MatmulInto(l.fc1, l.enc_fc1, s.ffn_in, backend, "tt.matmul.fc1", &s.hidden_act);
+    BandMatmul(bands, layer, &Layer::fc1, &StepScratch::BandPanels::hidden_act,
+               s.ffn_in, backend, "tt.matmul.fc1", &s, &s.hidden_act);
     for (int64_t i = 0; i < s.hidden_act.size(); ++i) {
       s.hidden_act.data()[i] = Gelu(s.hidden_act.data()[i]);
     }
-    MatmulInto(l.fc2, l.enc_fc2, s.hidden_act, backend, "tt.matmul.fc2", &s.ffn_out);
+    BandMatmul(bands, layer, &Layer::fc2, &StepScratch::BandPanels::ffn_out,
+               s.hidden_act, backend, "tt.matmul.fc2", &s, &s.ffn_out);
     for (int64_t i = 0; i < s.act.size(); ++i) {
       s.act.data()[i] += s.ffn_out.data()[i];
     }
   }
 
-  // Final LN + tied unembedding — but only for producer columns: every
-  // decode column, and the final column of each chunk that completes its
-  // prompt (whose logits seed generation). Mid-prompt columns exist to
-  // deposit K/V; their logits are never consumed.
+  // Final LN + tied unembedding — but only for producer columns.
+  // Mid-prompt columns exist to deposit K/V; their logits are never consumed.
   SPINFER_TRACE_SCOPE("tt.unembed");
   LayerNormColumns(&s.act);
-  std::vector<int64_t> producer_cols;
-  producer_cols.reserve(static_cast<size_t>(dec) + chunks.size());
-  for (int64_t i = 0; i < dec; ++i) {
-    producer_cols.push_back(i);
-  }
-  {
-    int64_t col = dec;
-    for (const PrefillChunk& c : chunks) {
-      col += c.count;
-      if (c.start + c.count == static_cast<int64_t>(c.prompt->size())) {
-        producer_cols.push_back(col - 1);
-      }
-    }
-  }
   const int64_t producers = static_cast<int64_t>(producer_cols.size());
   s.logits.Reshape(producers, config_.vocab);
   for (int64_t i = 0; i < producers; ++i) {
@@ -536,8 +602,9 @@ std::vector<int32_t> TinyTransformer::Generate(const std::vector<int32_t>& promp
 uint64_t TinyTransformer::DenseWeightBytes() const {
   uint64_t total = 0;
   for (const Layer& l : layers_) {
-    total += 2ull * (l.wq.size() + l.wk.size() + l.wv.size() + l.wo.size() +
-                     l.fc1.size() + l.fc2.size());
+    for (Weight Layer::*w : kLayerWeights) {
+      total += 2ull * (l.*w).dense.size();
+    }
   }
   return total;
 }
@@ -545,9 +612,9 @@ uint64_t TinyTransformer::DenseWeightBytes() const {
 uint64_t TinyTransformer::EncodedWeightBytes() const {
   uint64_t total = 0;
   for (const Layer& l : layers_) {
-    total += l.enc_wq.StorageBytes() + l.enc_wk.StorageBytes() +
-             l.enc_wv.StorageBytes() + l.enc_wo.StorageBytes() +
-             l.enc_fc1.StorageBytes() + l.enc_fc2.StorageBytes();
+    for (Weight Layer::*w : kLayerWeights) {
+      total += (l.*w).enc.StorageBytes();
+    }
   }
   return total;
 }
@@ -556,9 +623,9 @@ double TinyTransformer::WeightSparsity() const {
   int64_t nnz = 0;
   int64_t total = 0;
   for (const Layer& l : layers_) {
-    for (const HalfMatrix* w : {&l.wq, &l.wk, &l.wv, &l.wo, &l.fc1, &l.fc2}) {
-      nnz += w->CountNonZeros();
-      total += w->size();
+    for (Weight Layer::*w : kLayerWeights) {
+      nnz += (l.*w).dense.CountNonZeros();
+      total += (l.*w).dense.size();
     }
   }
   return 1.0 - static_cast<double>(nnz) / static_cast<double>(total);

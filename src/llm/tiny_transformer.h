@@ -6,20 +6,23 @@
 // Numerics are exact enough to test: with the same pruned weights, the dense
 // and TCA-BME backends produce matching logits and identical greedy decodes.
 //
-// Two execution modes:
-//   * Forward/Generate — full-sequence recompute every step (the original
-//     integration proof; simple, O(steps * seq) matmul work).
-//   * Prefill/DecodeStep — the serving path: prefill writes every position's
-//     per-layer K/V into a PagedKvCache, then each decode iteration runs ONE
-//     SpMM with N = batch columns per weight matrix for the whole batch and
-//     per-sequence paged attention over the cached context. Every stage is
-//     per-column/per-sequence, so a sequence's tokens and logits are
-//     bit-identical for any batch composition, any thread count, and also
-//     match the full-recompute Generate path bit for bit.
+// One layer implementation serves everything. Forward/Generate is the
+// full-recompute oracle (O(steps * seq) matmul work, no cache). Every serving
+// entry point — Prefill, DecodeStep, MixedStep, and the tensor-parallel
+// ShardedEngine — runs MixedStep over a list of row bands: each band owns a
+// slice of the output rows of every weight matrix plus the PagedKvCache
+// holding its K/V rows, and the single instance is the one-band case over the
+// model's own weights. Each step runs ONE matmul per weight (and band) with
+// N = batch columns and per-sequence paged attention over the cached context.
+// Every stage is per-column/per-sequence and row bands are cut on GroupTile
+// boundaries, so a sequence's tokens and logits are bit-identical for any
+// batch composition, chunking, band count, and thread count, and match the
+// full-recompute Generate path bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/core/cpu_backend.h"
@@ -47,6 +50,9 @@ struct TinyConfig {
   int64_t kv_head_count() const { return kv_heads > 0 ? kv_heads : heads; }
   // Rows of wk/wv and of one K (or V) cache row: kv heads x head_dim.
   int64_t kv_dim() const { return kv_head_count() * head_dim(); }
+  // Whether every token id lies in [0, vocab): what the embedding accepts.
+  // Serving front-ends reject a prompt that fails this before it can run.
+  bool InVocab(const std::vector<int32_t>& tokens) const;
 };
 
 // Which engine executes the weight matmuls.
@@ -74,6 +80,52 @@ struct PrefillChunk {
 
 class TinyTransformer {
  public:
+  // One weight matrix: dense FP16 and its TCA-BME encoding.
+  struct Weight {
+    HalfMatrix dense;
+    TcaBmeMatrix enc;
+  };
+  // The six weight matrices of one layer — the whole model's, or one row
+  // band of them (see RowBandLayers).
+  struct Layer {
+    Weight wq, wo;  // hidden x hidden
+    Weight wk, wv;  // kv_dim x hidden (== hidden x hidden for MHA)
+    Weight fc1;     // ffn x hidden
+    Weight fc2;     // hidden x ffn
+  };
+  // One output-row band, the unit MixedStep runs over: a row slice of every
+  // layer's weights and the cache holding that band's kv rows (kv_dim / bands
+  // rows per token). Band b of g owns query heads [b * heads/g, ...) and kv
+  // heads [b * kv_heads/g, ...).
+  struct RowBand {
+    const std::vector<Layer>* layers;
+    PagedKvCache* cache;
+  };
+  // Reusable buffers for one step (or one Forward). Shapes depend only on
+  // (panel width, hidden, ffn, band count), so every layer — and every later
+  // call at seen shapes — reuses the same storage; nothing here is shrunk.
+  // `xh` stages the FP16 conversion feeding the dense reference backend (the
+  // sparse backend quantizes on panel fill and never touches it). `scores`
+  // grows to the longest context Forward attends. The model owns one for its
+  // own steps; a caller running its own bands owns another.
+  struct StepScratch {
+    // One band's projections: q/k/v stay band-local; the rest are row-gathered
+    // into the full panels below (with one band they are not used — outputs
+    // land in the full panels directly).
+    struct BandPanels {
+      FloatMatrix q, kk, v, attn_out, proj, hidden_act, ffn_out;
+    };
+    SpmmWorkspace ws;
+    HalfMatrix xh;
+    FloatMatrix act, normed, attn_out, proj, ffn_in, hidden_act, ffn_out, logits;
+    std::vector<float> scores;
+    std::vector<BandPanels> bands;
+    // Batched paged-attention scratch + the per-step work list (decode
+    // columns, then chunk columns).
+    PagedAttentionScratch attn;
+    std::vector<PagedAttentionItem> attn_items;
+  };
+
   // Deterministic random initialization (scaled Gaussian).
   TinyTransformer(const TinyConfig& config, uint64_t seed);
 
@@ -81,7 +133,8 @@ class TinyTransformer {
   // dense, as in the paper's end-to-end setup) and re-encodes TCA-BME.
   void PruneWeights(const Pruner& pruner, double sparsity);
 
-  // Forward pass over `tokens`; returns logits (seq x vocab).
+  // Full-recompute forward pass over `tokens`; returns logits (seq x vocab).
+  // The oracle the serving path is tested against.
   FloatMatrix Forward(const std::vector<int32_t>& tokens, MatmulBackend backend) const;
 
   // Greedy decoding: extends `prompt` by `steps` tokens.
@@ -93,12 +146,12 @@ class TinyTransformer {
   // KV geometry for a PagedKvCache serving this model.
   PagedKvCacheConfig KvCacheConfig(int64_t block_tokens, int64_t num_blocks) const;
 
-  // Identical to Forward, additionally writing each position's per-layer K/V
-  // columns into `cache` slots [0, tokens.size()) of `seq_id` — which must
-  // already be registered with exactly tokens.size() slots. The caller takes
-  // the first generated token from the returned logits' last row.
-  FloatMatrix Prefill(const std::vector<int32_t>& tokens, MatmulBackend backend,
-                      PagedKvCache* cache, int64_t seq_id) const;
+  // Whole-prompt prefill: a one-chunk MixedStep that writes every position's
+  // per-layer K/V into `cache` slots [0, tokens.size()) of `seq_id` — which
+  // must already be registered with exactly tokens.size() slots — and returns
+  // the first generated token.
+  int32_t Prefill(const std::vector<int32_t>& tokens, MatmulBackend backend,
+                  PagedKvCache* cache, int64_t seq_id) const;
 
   // One continuous-batching decode iteration. For sequence i (ragged contexts
   // are fine), `last_tokens[i]` is its most recently produced token; the step
@@ -132,12 +185,32 @@ class TinyTransformer {
                  std::vector<int32_t>* chunk_next,
                  FloatMatrix* dec_logits_out = nullptr) const;
 
+  // The same step over `bands` (heads and kv heads must divide by their
+  // count), using the caller's `scratch`. Each band computes its rows of
+  // q/k/v, writes its kv rows into its own cache (slot appends run on every
+  // cache in lockstep; bands[0]'s cache is the accounting view), and attends
+  // over its own heads; every other projection is computed band by band and
+  // row-gathered into the full panel — copies, no arithmetic, so the results
+  // are bit-identical to the one-band step. The one-band call above is
+  // exactly this over {layers_, cache} with the model's own scratch.
+  void MixedStep(const std::vector<int64_t>& dec_ids,
+                 const std::vector<int32_t>& dec_last,
+                 const std::vector<PrefillChunk>& chunks, MatmulBackend backend,
+                 std::span<const RowBand> bands, StepScratch* scratch,
+                 std::vector<int32_t>* dec_next,
+                 std::vector<int32_t>* chunk_next,
+                 FloatMatrix* dec_logits_out = nullptr) const;
+
+  // Band `band` of `bands`: output rows [band * R / bands, (band + 1) * R /
+  // bands) of every weight matrix (R = its row count), spanning the full
+  // input dimension and re-encoded with EncodeFormat(). CHECKs that every cut
+  // lands on a head boundary and a GroupTile boundary, so each band's kernels
+  // traverse the same tiles in the same order as the whole-matrix kernel.
+  std::vector<Layer> RowBandLayers(int64_t band, int64_t bands) const;
+
   const TinyConfig& config() const { return config_; }
 
-  // --- Weight-partition support (tensor-parallel sharding) ------------------
-  // The sharded engine slices every weight matrix by output rows and re-
-  // encodes the slices; these accessors expose exactly what it needs and
-  // nothing mutable.
+  // Read-only views of one layer's dense weights (benches re-encode them).
   struct LayerWeights {
     const HalfMatrix* wq;
     const HalfMatrix* wk;
@@ -147,19 +220,10 @@ class TinyTransformer {
     const HalfMatrix* fc2;
   };
   LayerWeights layer_weights(int64_t layer) const;
-  // Tied embedding / LM head (vocab x hidden); replicated on every shard.
-  const HalfMatrix& embedding() const { return embedding_; }
-  // The TCA-BME geometry the model's own matmuls encode with. Row slices must
-  // be encoded with the same tile shape — and sliced at multiples of its
-  // gt_rows — for the sliced kernels to be bit-identical to the whole-matrix
-  // kernel.
+  // The TCA-BME geometry the model's own matmuls encode with.
   static TcaBmeConfig EncodeFormat();
-  // Embeds `token` at absolute position `pos` into column `col` of `act`.
-  // Public so the sharded engine's replicated embedding stage produces the
-  // exact bits of the single-instance panel.
-  void EmbedInto(int32_t token, int64_t pos, int64_t col, FloatMatrix* act) const;
   // Observability for the zero-allocation serving contract (tests, benches).
-  // Grow count / capacity of the reusable matmul-path scratch: once a
+  // Grow count / capacity of the model's own step scratch: once a
   // Forward/DecodeStep at the serving shapes has warmed it, further calls at
   // those (or smaller) shapes leave both unchanged — i.e. the matmul path
   // performs zero heap allocations per step.
@@ -172,54 +236,18 @@ class TinyTransformer {
   double WeightSparsity() const;
 
  private:
-  struct Layer {
-    HalfMatrix wq, wo;          // hidden x hidden
-    HalfMatrix wk, wv;          // kv_dim x hidden (== hidden x hidden for MHA)
-    HalfMatrix fc1;             // ffn x hidden
-    HalfMatrix fc2;             // hidden x ffn
-    TcaBmeMatrix enc_wq, enc_wk, enc_wv, enc_wo, enc_fc1, enc_fc2;
-  };
-
-  // Reusable buffers for one Forward or DecodeStep pass. Shapes depend only
-  // on (seq-or-batch, hidden, ffn), so every layer — and every subsequent
-  // call at seen shapes — reuses the same storage; nothing here is shrunk.
-  // `xh` stages the FP16 conversion feeding the dense reference backend (the
-  // sparse backend quantizes on panel fill and never touches it). `scores`
-  // grows to the longest attended context.
-  struct MatmulScratch {
-    SpmmWorkspace ws;
-    HalfMatrix xh;
-    FloatMatrix normed, q, kk, v, attn_out, proj, ffn_in, hidden_act, ffn_out;
-    FloatMatrix act, logits;  // decode-step activation panel and logits
-    std::vector<float> scores;
-    // Batched paged-attention scratch + the per-step work list (decode
-    // columns, then chunk columns), rebuilt in place each MixedStep.
-    PagedAttentionScratch attn;
-    std::vector<PagedAttentionItem> attn_items;
-  };
-
-  // out = W*X on the selected backend, from FP32 activations: the sparse
-  // path quantizes to FP16 while filling the SpMM panel (CpuSpmmQuantInto),
-  // the dense reference path stages an explicit FP16 copy — both see the
-  // same FP16 activation bits. `label` is a static string literal naming the
-  // matmul's trace span (e.g. "tt.matmul.wq").
-  void MatmulInto(const HalfMatrix& dense, const TcaBmeMatrix& encoded,
-                  const FloatMatrix& x, MatmulBackend backend, const char* label,
-                  FloatMatrix* out) const;
-
-  // Shared Forward body; when `cache` is non-null, per-layer K/V columns are
-  // written into `seq_id`'s slots (the prefill path).
-  FloatMatrix ForwardImpl(const std::vector<int32_t>& tokens, MatmulBackend backend,
-                          PagedKvCache* cache, int64_t seq_id) const;
+  // Embeds `token` at absolute position `pos` into column `col` of `act`.
+  void EmbedInto(int32_t token, int64_t pos, int64_t col, FloatMatrix* act) const;
 
   void EncodeAll();
 
   TinyConfig config_;
   HalfMatrix embedding_;  // vocab x hidden (tied LM head)
   std::vector<Layer> layers_;
-  // `mutable`: Forward is logically const. A single TinyTransformer must not
-  // run concurrent Forward calls (matching the SpmmWorkspace contract).
-  mutable MatmulScratch scratch_;
+  // `mutable`: Forward and the one-band steps are logically const. A single
+  // TinyTransformer must not run concurrent steps (matching the
+  // SpmmWorkspace contract).
+  mutable StepScratch scratch_;
 };
 
 }  // namespace spinfer

@@ -10,7 +10,8 @@
 //     Generate bitwise, across the prefill -> migrate -> decode pipeline.
 //   * Reports are byte-stable across reruns and thread counts.
 //   * Degenerate topologies (no prefill pool, no decode pool) and unservable
-//     requests reject gracefully — no UB, no CHECK crash.
+//     requests (including out-of-vocab prompts) reject gracefully — no UB,
+//     no CHECK crash.
 #include "src/llm/disagg_cluster.h"
 
 #include <gtest/gtest.h>
@@ -270,6 +271,45 @@ TEST(DisaggClusterTest, SingleTokenBudgetSkipsDecode) {
   const RequestRecord& r = cluster.results()[0];
   EXPECT_EQ(static_cast<int64_t>(r.generated.size()), 1);
   EXPECT_DOUBLE_EQ(r.ttft_ms, r.latency_ms);
+}
+
+// A prompt token outside [0, vocab) rejects that request at prefill routing;
+// the others complete with exactly the streams they get without it.
+TEST(DisaggClusterTest, OutOfVocabPromptRejectedOthersUnchanged) {
+  const TinyTransformer model = MakePrunedModel();
+  const auto prompts = LockstepPrompts(model);
+  auto arrival = [](size_t i) { return 0.001 * static_cast<double>(i); };
+  DisaggCluster clean(&model, ClusterConfig());
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    clean.Submit(prompts[i], kOutputLen, arrival(i));
+  }
+  clean.Run();
+
+  const int32_t vocab = static_cast<int32_t>(model.config().vocab);
+  for (const int32_t bad_token : {-1, vocab}) {
+    std::vector<int32_t> bad = prompts[0];
+    bad[5] = bad_token;
+    DisaggCluster cluster(&model, ClusterConfig());
+    std::vector<int64_t> good_ids;
+    int64_t bad_id = -1;
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      if (i == 3) {
+        bad_id = cluster.Submit(bad, kOutputLen, 0.0025);
+      }
+      good_ids.push_back(cluster.Submit(prompts[i], kOutputLen, arrival(i)));
+    }
+    const DisaggClusterReport report = cluster.Run();
+    EXPECT_EQ(report.rejected, 1) << "bad token " << bad_token;
+    EXPECT_EQ(report.completed, kBatch) << "bad token " << bad_token;
+    EXPECT_EQ(cluster.results()[static_cast<size_t>(bad_id)].reason,
+              FinishReason::kRejected);
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      const RequestRecord& r =
+          cluster.results()[static_cast<size_t>(good_ids[i])];
+      EXPECT_EQ(r.reason, FinishReason::kMaxTokens) << "prompt " << i;
+      EXPECT_EQ(r.generated, clean.results()[i].generated) << "prompt " << i;
+    }
+  }
 }
 
 }  // namespace

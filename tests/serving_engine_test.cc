@@ -61,8 +61,7 @@ DecodeTrace RunSingle(const TinyTransformer& model,
   PagedKvCache cache(model.KvCacheConfig(/*block_tokens=*/8, /*num_blocks=*/32));
   EXPECT_TRUE(cache.AddSequence(0, static_cast<int64_t>(prompt.size())));
   DecodeTrace trace;
-  const FloatMatrix prefill = model.Prefill(prompt, backend, &cache, 0);
-  trace.tokens.push_back(GreedyToken(prefill, prefill.rows() - 1));
+  trace.tokens.push_back(model.Prefill(prompt, backend, &cache, 0));
   std::vector<int32_t> next;
   FloatMatrix logits;
   for (int s = 0; s < steps; ++s) {
@@ -87,8 +86,7 @@ std::vector<DecodeTrace> RunBatched(const TinyTransformer& model,
   for (int64_t i = 0; i < n; ++i) {
     EXPECT_TRUE(
         cache.AddSequence(i, static_cast<int64_t>(prompts[i].size())));
-    const FloatMatrix prefill = model.Prefill(prompts[i], backend, &cache, i);
-    traces[i].tokens.push_back(GreedyToken(prefill, prefill.rows() - 1));
+    traces[i].tokens.push_back(model.Prefill(prompts[i], backend, &cache, i));
     ids.push_back(i);
     last.push_back(traces[i].tokens.back());
   }
@@ -187,11 +185,9 @@ TEST(ServingEngineTest, DecodeStepAllocationFreeAfterWarmup) {
   std::vector<int32_t> last;
   for (int64_t i = 0; i < 8; ++i) {
     ASSERT_TRUE(cache.AddSequence(i, 8));
-    const FloatMatrix logits =
-        model.Prefill(prompts[static_cast<size_t>(i)],
-                      MatmulBackend::kTcaBmeCpu, &cache, i);
     ids.push_back(i);
-    last.push_back(GreedyToken(logits, logits.rows() - 1));
+    last.push_back(model.Prefill(prompts[static_cast<size_t>(i)],
+                                 MatmulBackend::kTcaBmeCpu, &cache, i));
   }
   const std::vector<int32_t> first = last;
   auto run_steps = [&](int n, std::vector<int32_t> cur) {
@@ -455,6 +451,49 @@ TEST(ServingEngineTest, ConcurrentSubmitLosesNoRequests) {
   for (const RequestRecord& r : engine.results()) {
     EXPECT_EQ(r.reason, FinishReason::kMaxTokens);
     EXPECT_EQ(r.generated.size(), 5u);
+  }
+}
+
+// A prompt token outside [0, vocab) cannot be embedded: the request is
+// rejected instead of aborting Run, and every other request completes with
+// exactly the stream it gets when the bad request is absent.
+TEST(ServingEngineTest, OutOfVocabPromptRejectedOthersUnchanged) {
+  const TinyTransformer model = MakePrunedModel();
+  const int64_t vocab = model.config().vocab;
+  Rng rng(31);
+  std::vector<std::vector<int32_t>> prompts;
+  for (int i = 0; i < 4; ++i) {
+    prompts.push_back(RandomPrompt(rng, 8, vocab));
+  }
+  auto arrival = [](size_t i) { return 0.002 * static_cast<double>(i); };
+  ServingEngine clean(&model, TestEngineConfig(model.config()));
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    clean.Submit(prompts[i], 6, arrival(i));
+  }
+  clean.Run();
+
+  for (const int32_t bad_token : {-1, static_cast<int32_t>(vocab)}) {
+    std::vector<int32_t> bad = prompts[0];
+    bad[3] = bad_token;
+    ServingEngine engine(&model, TestEngineConfig(model.config()));
+    std::vector<int64_t> good_ids;
+    int64_t bad_id = -1;
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      if (i == 2) {
+        bad_id = engine.Submit(bad, 6, 0.003);  // arrives mid-flight
+      }
+      good_ids.push_back(engine.Submit(prompts[i], 6, arrival(i)));
+    }
+    const ExecServingReport report = engine.Run();
+    EXPECT_EQ(report.rejected, 1) << "bad token " << bad_token;
+    EXPECT_EQ(report.completed, 4) << "bad token " << bad_token;
+    EXPECT_EQ(engine.results()[static_cast<size_t>(bad_id)].reason,
+              FinishReason::kRejected);
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      const RequestRecord& r = engine.results()[static_cast<size_t>(good_ids[i])];
+      EXPECT_EQ(r.reason, FinishReason::kMaxTokens) << "prompt " << i;
+      EXPECT_EQ(r.generated, clean.results()[i].generated) << "prompt " << i;
+    }
   }
 }
 

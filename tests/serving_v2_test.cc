@@ -59,9 +59,7 @@ std::vector<int32_t> RunSingle(const TinyTransformer& model,
   PagedKvCache cache(model.KvCacheConfig(/*block_tokens=*/8, /*num_blocks=*/32));
   EXPECT_TRUE(cache.AddSequence(0, static_cast<int64_t>(prompt.size())));
   std::vector<int32_t> tokens;
-  const FloatMatrix prefill =
-      model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0);
-  tokens.push_back(GreedyToken(prefill, prefill.rows() - 1));
+  tokens.push_back(model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0));
   std::vector<int32_t> next;
   for (int s = 0; s < steps; ++s) {
     model.DecodeStep({0}, {tokens.back()}, MatmulBackend::kTcaBmeCpu, &cache,
@@ -80,9 +78,8 @@ std::vector<std::vector<int32_t>> RunChunkedPair(
   PagedKvCache cache(model.KvCacheConfig(/*block_tokens=*/8, /*num_blocks=*/32));
   EXPECT_TRUE(cache.AddSequence(0, static_cast<int64_t>(prompt_a.size())));
   std::vector<std::vector<int32_t>> streams(2);
-  const FloatMatrix pre_a =
-      model.Prefill(prompt_a, MatmulBackend::kTcaBmeCpu, &cache, 0);
-  streams[0].push_back(GreedyToken(pre_a, pre_a.rows() - 1));
+  streams[0].push_back(
+      model.Prefill(prompt_a, MatmulBackend::kTcaBmeCpu, &cache, 0));
 
   const int64_t len_b = static_cast<int64_t>(prompt_b.size());
   EXPECT_TRUE(cache.AddSequence(1, len_b));

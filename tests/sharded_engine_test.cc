@@ -4,8 +4,8 @@
 //   * Output-row partitioning with copy-gather collectives makes the sharded
 //     engine bit-identical to the single-instance engine — token streams,
 //     per-request trajectories, and the byte-rendered report all match for
-//     shards in {1, 2, 4}, ragged Poisson traffic, GQA configs, and every
-//     thread count. The sharded serving path therefore also reproduces
+//     shards in {1, 2, 4}, both matmul backends, ragged Poisson traffic, GQA
+//     configs, and every thread count. The sharded serving path therefore also reproduces
 //     full-recompute Generate bitwise (by composition with the
 //     single-instance equivalence).
 //   * The virtual interconnect reproduces the analytic tensor-parallel comm
@@ -121,21 +121,33 @@ void ExpectSameRun(const RunResult& a, const RunResult& b,
   }
 }
 
-// The tentpole differential: for shards in {1, 2, 4}, the sharded substrate
-// under the same scheduler reproduces the single-instance engine byte for
-// byte — token streams, trajectories, and the rendered report.
+// The tentpole differential: for shards in {1, 2, 4} and both matmul
+// backends, the sharded substrate under the same scheduler reproduces the
+// single-instance engine byte for byte — token streams, trajectories, and
+// the rendered report. Sharded runs bring their own step scratch: the
+// model's stays exactly as the single-instance run left it.
 TEST(ShardedEngineTest, BitIdenticalToSingleInstanceAtAnyShardCount) {
   const TinyTransformer model = MakePrunedModel(TestModelConfig());
-  const ServingEngineConfig cfg = TestEngineConfig(model.config());
-
   ThreadPool::SetGlobalThreads(1);
-  const RunResult baseline = RunSingleInstance(model, cfg, 42);
-  EXPECT_GT(baseline.records.size(), 10u);
+  for (MatmulBackend backend :
+       {MatmulBackend::kTcaBmeCpu, MatmulBackend::kDense}) {
+    ServingEngineConfig cfg = TestEngineConfig(model.config());
+    cfg.backend = backend;
+    const std::string label =
+        backend == MatmulBackend::kDense ? "dense" : "tca_bme";
+    const RunResult baseline = RunSingleInstance(model, cfg, 42);
+    EXPECT_GT(baseline.records.size(), 10u);
+    const int64_t grows = model.MatmulScratchGrowCount();
+    const uint64_t bytes = model.MatmulScratchCapacityBytes();
 
-  for (int shards : {1, 2, 4}) {
-    ShardedEngine substrate(&model, TestShardConfig(shards));
-    const RunResult sharded = RunSharded(&substrate, cfg, 42);
-    ExpectSameRun(baseline, sharded, "shards=" + std::to_string(shards));
+    for (int shards : {1, 2, 4}) {
+      ShardedEngine substrate(&model, TestShardConfig(shards));
+      const RunResult sharded = RunSharded(&substrate, cfg, 42);
+      ExpectSameRun(baseline, sharded,
+                    label + " shards=" + std::to_string(shards));
+      EXPECT_EQ(model.MatmulScratchGrowCount(), grows) << label;
+      EXPECT_EQ(model.MatmulScratchCapacityBytes(), bytes) << label;
+    }
   }
   ThreadPool::SetGlobalThreads(0);
 }
@@ -171,9 +183,8 @@ TEST(ShardedEngineTest, GqaServingMatchesGenerate) {
 
   PagedKvCache cache(model.KvCacheConfig(8, 32));
   ASSERT_TRUE(cache.AddSequence(0, static_cast<int64_t>(prompt.size())));
-  const FloatMatrix logits =
-      model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0);
-  std::vector<int32_t> stream = {GreedyToken(logits, logits.rows() - 1)};
+  std::vector<int32_t> stream = {
+      model.Prefill(prompt, MatmulBackend::kTcaBmeCpu, &cache, 0)};
   std::vector<int32_t> next;
   for (int s = 1; s < kSteps; ++s) {
     model.DecodeStep({0}, {stream.back()}, MatmulBackend::kTcaBmeCpu, &cache,
