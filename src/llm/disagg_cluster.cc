@@ -1,8 +1,10 @@
 #include "src/llm/disagg_cluster.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <deque>
+#include <memory>
+#include <optional>
 
 #include "src/llm/attention.h"
 #include "src/llm/kv_allocator.h"
@@ -28,13 +30,24 @@ std::string DisaggClusterReport::ToString() const {
   return std::string(buf);
 }
 
+std::string DisaggClusterConfig::Validate() const {
+  if (prefill_instances < 0) return "prefill_instances must be >= 0";
+  if (decode_instances < 0) return "decode_instances must be >= 0";
+  if (max_decode_batch <= 0) return "max_decode_batch must be > 0";
+  if (!(std::isfinite(transfer_bw_gbs) && transfer_bw_gbs > 0.0)) {
+    return "transfer_bw_gbs must be finite and > 0";
+  }
+  const std::string bad = ValidateCostConfig(prefill_cost, "prefill_cost");
+  return bad.empty() ? ValidateCostConfig(decode_cost, "decode_cost") : bad;
+}
+
 DisaggCluster::DisaggCluster(const TinyTransformer* model,
                              const DisaggClusterConfig& cfg)
     : model_(model), cfg_(cfg) {
   SPINFER_CHECK(model != nullptr);
-  SPINFER_CHECK(cfg.prefill_instances >= 0 && cfg.decode_instances >= 0);
-  SPINFER_CHECK(cfg.max_decode_batch > 0);
-  samples_.resize(static_cast<size_t>(std::max<int64_t>(cfg.decode_instances, 0)));
+  SPINFER_CHECK_MSG(cfg.Validate().empty(),
+                    "DisaggClusterConfig: " << cfg.Validate());
+  samples_.resize(static_cast<size_t>(cfg.decode_instances));
 }
 
 int64_t DisaggCluster::Submit(std::vector<int32_t> prompt,
@@ -71,73 +84,64 @@ DisaggClusterReport DisaggCluster::Run() {
     double free_at_s = 0.0;
     explicit PrefillInstance(const PagedKvCacheConfig& kv) : cache(kv) {}
   };
-  struct Handoff {
-    int64_t id = 0;
-    double ready_s = 0.0;       // transfer complete; admissible from here
-    int64_t prefill_inst = 0;   // whose pool still holds the KV
-  };
   struct DecodeInstance {
-    PagedKvCache cache;
-    std::deque<Handoff> queue;  // (ready, id) order
-    int64_t assigned = 0;       // router load counter
-    explicit DecodeInstance(const PagedKvCacheConfig& kv) : cache(kv) {}
+    std::unique_ptr<ServingEngine> engine;
+    std::vector<int64_t> cluster_ids;  // indexed by engine request id
   };
 
-  const PagedKvCacheConfig kv =
-      model_->KvCacheConfig(cfg_.kv_block_tokens, cfg_.kv_num_blocks);
   std::vector<PrefillInstance> prefills;
   std::vector<DecodeInstance> decodes;
   if (usable) {
+    const PagedKvCacheConfig kv =
+        model_->KvCacheConfig(cfg_.kv_block_tokens, cfg_.kv_num_blocks);
     prefills.reserve(static_cast<size_t>(cfg_.prefill_instances));
     for (int64_t i = 0; i < cfg_.prefill_instances; ++i) {
       prefills.emplace_back(kv);
     }
-    decodes.reserve(static_cast<size_t>(cfg_.decode_instances));
-    for (int64_t i = 0; i < cfg_.decode_instances; ++i) {
-      decodes.emplace_back(kv);
+    ServingEngineConfig decode_cfg;
+    decode_cfg.max_batch = cfg_.max_decode_batch;
+    decode_cfg.kv_block_tokens = cfg_.kv_block_tokens;
+    decode_cfg.kv_num_blocks = cfg_.kv_num_blocks;
+    decode_cfg.backend = cfg_.backend;
+    decode_cfg.cost = cfg_.decode_cost;
+    decodes.resize(static_cast<size_t>(cfg_.decode_instances));
+    for (DecodeInstance& d : decodes) {
+      d.engine = std::make_unique<ServingEngine>(model_, decode_cfg);
     }
   }
 
-  // ---- Phase A: prefill scheduling + execution + handoff routing. ----------
+  // ---- Prefill scheduling + execution + handoff routing. -------------------
   // One prompt at a time per instance; earliest-free instance wins, ties to
   // the lowest index — an analytic schedule over the virtual clock, executed
-  // for real in schedule order.
-  std::vector<int64_t> order(records_.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = static_cast<int64_t>(i);
+  // for real in schedule order. Unservable requests are rejected before the
+  // arrival sort (a NaN arrival would break its ordering). Both pools share
+  // one geometry, so a request the decode engines can serve fits a prefill
+  // pool.
+  std::vector<int64_t> order;
+  order.reserve(records_.size());
+  for (RequestRecord& r : records_) {
+    if (usable && IsWellFormedRequest(r, model_->config()) &&
+        decodes[0].engine->IsServable(r)) {
+      order.push_back(r.id);
+    } else {
+      r.reason = FinishReason::kRejected;
+      ++report.rejected;
+    }
   }
   std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
     return records_[static_cast<size_t>(a)].arrival_s <
            records_[static_cast<size_t>(b)].arrival_s;
   });
 
-  const int64_t max_seq = model_->config().max_seq;
   double sim_end_s = 0.0;
   for (const int64_t id : order) {
     RequestRecord& r = records_[static_cast<size_t>(id)];
     const int64_t len = static_cast<int64_t>(r.prompt.size());
-    const bool servable =
-        usable && len > 0 && r.max_new_tokens > 0 &&
-        len + r.max_new_tokens <= max_seq &&
-        model_->config().InVocab(r.prompt) &&
-        prefills[0].cache.BlocksForTokens(len) <=
-            prefills[0].cache.total_blocks() &&
-        decodes[0].cache.BlocksForTokens(len + r.max_new_tokens) <=
-            decodes[0].cache.total_blocks();
-    if (!servable) {
-      r.reason = FinishReason::kRejected;
-      ++report.rejected;
-      continue;
-    }
-
-    int64_t best = 0;
-    for (int64_t i = 1; i < cfg_.prefill_instances; ++i) {
-      if (prefills[static_cast<size_t>(i)].free_at_s <
-          prefills[static_cast<size_t>(best)].free_at_s) {
-        best = i;
-      }
-    }
-    PrefillInstance& inst = prefills[static_cast<size_t>(best)];
+    PrefillInstance& inst = *std::min_element(
+        prefills.begin(), prefills.end(),
+        [](const PrefillInstance& a, const PrefillInstance& b) {
+          return a.free_at_s < b.free_at_s;
+        });
     // A resident sequence waiting on decode admission still holds its blocks
     // here; a full pool is transient backpressure for a real cluster but a
     // sizing error for this virtual-clock executor — reject, don't wedge.
@@ -173,120 +177,40 @@ DisaggClusterReport DisaggCluster::Run() {
       r.finish_s = ready_s;
       r.latency_ms = (ready_s - r.arrival_s) * 1e3;
       r.reason = FinishReason::kMaxTokens;
-      ++report.completed;
       sim_end_s = std::max(sim_end_s, ready_s);
       continue;
     }
 
-    int64_t target = 0;
-    for (int64_t i = 1; i < cfg_.decode_instances; ++i) {
-      if (decodes[static_cast<size_t>(i)].assigned <
-          decodes[static_cast<size_t>(target)].assigned) {
-        target = i;
-      }
-    }
-    decodes[static_cast<size_t>(target)].queue.push_back(
-        Handoff{r.id, ready_s, best});
-    ++decodes[static_cast<size_t>(target)].assigned;
+    // Least-loaded decode instance, ties to the lowest index.
+    DecodeInstance& target = *std::min_element(
+        decodes.begin(), decodes.end(),
+        [](const DecodeInstance& a, const DecodeInstance& b) {
+          return a.cluster_ids.size() < b.cluster_ids.size();
+        });
+    target.engine->SubmitPrefilled(r.prompt, r.generated[0], r.max_new_tokens,
+                                   ready_s, &inst.cache, r.id);
+    target.cluster_ids.push_back(r.id);
   }
 
-  // ---- Phase B: per-decode-instance continuous batching. -------------------
-  // Iterate the pools actually built: an unusable topology built none.
-  for (int64_t di = 0; di < static_cast<int64_t>(decodes.size()); ++di) {
-    DecodeInstance& inst = decodes[static_cast<size_t>(di)];
-    std::stable_sort(inst.queue.begin(), inst.queue.end(),
-                     [](const Handoff& a, const Handoff& b) {
-                       return a.ready_s < b.ready_s;
-                     });
-    std::vector<int64_t> active;
-    std::vector<DisaggIterationSample>& samples =
-        samples_[static_cast<size_t>(di)];
-    double now_s = 0.0;
-
-    std::vector<int64_t> dec_ids;
-    std::vector<int32_t> dec_last, dec_next;
-    while (!inst.queue.empty() || !active.empty()) {
-      if (active.empty() && !inst.queue.empty()) {
-        now_s = std::max(now_s, inst.queue.front().ready_s);
-      }
-      // Growth-reserve admission (ServingEngine's invariant): admit only
-      // while the pool covers the newcomer's blocks now plus everyone's
-      // worst-case growth to prompt + max_new, so AppendToken cannot fail.
-      while (!inst.queue.empty() &&
-             inst.queue.front().ready_s <= now_s &&
-             static_cast<int64_t>(active.size()) < cfg_.max_decode_batch) {
-        const Handoff h = inst.queue.front();
-        const RequestRecord& r = records_[static_cast<size_t>(h.id)];
-        const int64_t full = static_cast<int64_t>(r.prompt.size()) +
-                             r.max_new_tokens;
-        int64_t reserve = 0;
-        for (const int64_t aid : active) {
-          const RequestRecord& ar = records_[static_cast<size_t>(aid)];
-          reserve +=
-              inst.cache.BlocksForTokens(static_cast<int64_t>(ar.prompt.size()) +
-                                         ar.max_new_tokens) -
-              inst.cache.BlocksForTokens(inst.cache.SequenceTokens(aid));
-        }
-        const int64_t fresh = inst.cache.BlocksForTokens(
-            static_cast<int64_t>(r.prompt.size()));
-        const int64_t growth = inst.cache.BlocksForTokens(full) - fresh;
-        if (inst.cache.used_blocks() + fresh + growth + reserve >
-            inst.cache.total_blocks()) {
-          break;  // wait for a retirement to free blocks
-        }
-        SPINFER_CHECK(MigrateKvSequence(
-            &prefills[static_cast<size_t>(h.prefill_inst)].cache, &inst.cache,
-            h.id));
-        ++report.migrations;
-        active.push_back(h.id);
-        inst.queue.pop_front();
-      }
-      if (active.empty()) {
-        continue;  // clock advanced to the next handoff above
-      }
-
-      dec_ids.clear();
-      dec_last.clear();
-      for (const int64_t id : active) {
-        const RequestRecord& r = records_[static_cast<size_t>(id)];
-        dec_ids.push_back(id);
-        dec_last.push_back(r.generated.back());
-      }
-      model_->DecodeStep(dec_ids, dec_last, cfg_.backend, &inst.cache,
-                         &dec_next);
-      int64_t context_sum = 0;
-      for (size_t i = 0; i < active.size(); ++i) {
-        RequestRecord& r = records_[static_cast<size_t>(active[i])];
-        r.generated.push_back(dec_next[i]);
-        // ServingEngine's context expression, post-push: prompt +
-        // (generated - 1) + 1.
-        context_sum += static_cast<int64_t>(r.prompt.size()) +
-                       (static_cast<int64_t>(r.generated.size()) - 1) + 1;
-      }
-      const int64_t batch = static_cast<int64_t>(active.size());
-      const double cost_us = DecodeStepTimeUs(cfg_.decode_cost, batch,
-                                              context_sum / batch);
-      samples.push_back(
-          DisaggIterationSample{batch, context_sum / batch, cost_us});
+  // ---- Decode: each instance is a ServingEngine admitting the handoffs. -----
+  for (size_t di = 0; di < decodes.size(); ++di) {
+    ServingEngine& engine = *decodes[di].engine;
+    while (const std::optional<ServingStep> step = engine.Step()) {
+      samples_[di].push_back(*step);
       ++report.decode_iterations;
-      report.peak_decode_batch = std::max(report.peak_decode_batch, batch);
-      now_s += cost_us / 1e6;
-
-      for (size_t i = 0; i < active.size();) {
-        RequestRecord& r = records_[static_cast<size_t>(active[i])];
-        if (static_cast<int64_t>(r.generated.size()) >= r.max_new_tokens) {
-          inst.cache.RemoveSequence(r.id);
-          r.finish_s = now_s;
-          r.latency_ms = (now_s - r.arrival_s) * 1e3;
-          r.reason = FinishReason::kMaxTokens;
-          ++report.completed;
-          active.erase(active.begin() + static_cast<int64_t>(i));
-        } else {
-          ++i;
-        }
-      }
+      report.peak_decode_batch = std::max(report.peak_decode_batch, step->batch);
     }
-    sim_end_s = std::max(sim_end_s, now_s);
+    report.migrations += static_cast<int64_t>(engine.admission_order().size());
+    const std::vector<int64_t>& ids = decodes[di].cluster_ids;
+    for (size_t e = 0; e < ids.size(); ++e) {
+      const RequestRecord& done = engine.results()[e];
+      RequestRecord& r = records_[static_cast<size_t>(ids[e])];
+      r.generated = done.generated;
+      r.reason = done.reason;
+      r.finish_s = done.finish_s;
+      r.latency_ms = (r.finish_s - r.arrival_s) * 1e3;
+      sim_end_s = std::max(sim_end_s, r.finish_s);
+    }
   }
 
   report.sim_time_s = sim_end_s;
@@ -297,6 +221,7 @@ DisaggClusterReport DisaggCluster::Run() {
       lats.push_back(r.latency_ms);
     }
   }
+  report.completed = static_cast<int64_t>(ttfts.size());
   report.ttft = SummarizeLatenciesMs(std::move(ttfts));
   report.latency = SummarizeLatenciesMs(std::move(lats));
   return report;

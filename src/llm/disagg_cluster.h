@@ -3,35 +3,42 @@
 // Splitwise / DistServe / Mooncake architecture).
 //
 // Topology: a pool of prefill instances (each a full-model runner with its
-// own PagedKvCache) and a pool of decode instances (each a continuous-
-// batching loop over its own PagedKvCache), joined by per-request KV-block
-// handoff: when a prompt finishes prefilling, its cache pages cross the
+// own PagedKvCache) and a pool of decode instances, each a plain
+// ServingEngine (max_batch = max_decode_batch, the same KV geometry,
+// cost = decode_cost), joined by per-request KV-block handoff. The cluster
+// itself is only prefill placement, Prefill, handoff pricing and decode
+// routing: when a prompt finishes prefilling, its cache pages cross the
 // virtual fabric (priced at transfer_bw_gbs over the cost model's
-// KvCacheBytes) and are migrated — refcount-correct, bit-exact — into the
-// admitting decode instance's pool via MigrateKvSequence.
+// KvCacheBytes) and it is submitted to a decode engine with
+// ServingEngine::SubmitPrefilled, arriving there when the transfer
+// completes. The engine admits it under its own FIFO growth-reserve policy
+// and moves the KV into its pool — refcount-correct, bit-exact — via
+// MigrateKvSequence; Run then drives each engine with Step() until it
+// drains, recording one DisaggIterationSample per priced step. The decode
+// iterations therefore emit the engine's srv.* metrics and srv.step spans.
 //
 // Time model, as everywhere in this repo's serving stack: execution is real
-// (real tokens through TinyTransformer::Prefill / DecodeStep, real paged KV
+// (real tokens through TinyTransformer::Prefill / MixedStep, real paged KV
 // pools), the clock is virtual, priced expression-for-expression like the
 // planner:
 //   * one prompt at a time per prefill instance, PrefillTimeUs(prefill_cost,
 //     1, len); router = earliest-free instance, ties to the lowest index;
 //   * handoff delay KvCacheBytes(model, 1, len, 1) / (transfer_bw_gbs * 1e6)
 //     milliseconds;
-//   * decode iterations DecodeStepTimeUs(decode_cost, batch, mean_context)
-//     with ServingEngine's context expression; router = least-loaded
-//     instance, ties to the lowest index; growth-reserve admission (a
-//     request is admitted only when the pool covers its blocks now plus
-//     every resident sequence's growth to prompt + max_new, so decode can
-//     never run out of blocks mid-flight).
+//   * decode iterations are the engine's: DecodeStepTimeUs(decode_cost,
+//     batch, mean_context); router = least-loaded instance (requests routed
+//     so far), ties to the lowest index.
 // The first token comes from the prefill logits, so TTFT = queueing +
 // prefill + transfer — with an idle prefill pool, exactly the planner's
 // prefill_ms + kv_transfer_ms. The cross-check tests match TTFT, tpot, and
 // decode throughput against PlanDisaggregation to <= 1e-9 relative.
+// Latencies are measured from the cluster arrival.
 //
 // Degenerate configs reject gracefully: zero instances, empty prompts,
-// prompts with a token outside the vocabulary, or prompts that could never
-// fit a pool finish as kRejected — no UB, no CHECK.
+// prompts with a token outside the vocabulary, non-finite or negative
+// arrival times, or prompts that could never fit a pool finish as kRejected
+// — no UB, no CHECK. A config that cannot price a clock (Validate) is a
+// CHECK naming the field.
 #pragma once
 
 #include <cstdint>
@@ -59,16 +66,17 @@ struct DisaggClusterConfig {
   EngineConfig decode_cost;
   // Prefill->decode fabric, GB/s.
   double transfer_bw_gbs = 25.0;
+
+  // "" when the config can drive a cluster, else the first bad field and
+  // why (the constructor CHECKs this).
+  std::string Validate() const;
 };
 
-// One priced decode iteration of one instance; the analytic cross-check
-// matches the sample whose mean_context equals the planner's steady-state
-// mid-context (input_len + output_len / 2).
-struct DisaggIterationSample {
-  int64_t batch = 0;
-  int64_t mean_context = 0;
-  double cost_us = 0.0;
-};
+// One priced decode iteration of one instance, as its engine's Step()
+// returned it; the analytic cross-check matches the sample whose
+// mean_context equals the planner's steady-state mid-context
+// (input_len + output_len / 2).
+using DisaggIterationSample = ServingStep;
 
 struct DisaggClusterReport {
   int64_t arrived = 0;
@@ -96,8 +104,8 @@ class DisaggCluster {
   int64_t Submit(std::vector<int32_t> prompt, int64_t max_new_tokens,
                  double arrival_s = 0.0);
 
-  // Runs prefill scheduling, KV handoff, and every decode instance's loop to
-  // completion. Single-shot.
+  // Runs prefill scheduling and KV handoff, then steps every decode engine
+  // until it drains. Single-shot.
   DisaggClusterReport Run();
 
   // Post-Run inspection; results() is indexed by request id.

@@ -270,7 +270,9 @@ class PagedKvCache {
 };
 
 // Moves `seq_id`'s cached K/V — every layer, every token slot — from `from`
-// to `to` (the prefill->decode handoff of a disaggregated deployment). The
+// to `to`, where it becomes sequence `to_seq_id` (the prefill->decode handoff
+// of a disaggregated deployment; each pool's owner numbers its sequences
+// independently, so the ids may differ). The
 // two pools must share geometry (layers, kv_dim, block_tokens; CHECKed).
 // Returns false, mutating nothing, when `from` does not hold the sequence or
 // `to` cannot allocate it; on success the destination rows are bit-for-bit
@@ -280,6 +282,7 @@ class PagedKvCache {
 // is private. Total live refcounts are conserved: the sequence's holds move
 // pools, nothing leaks and nothing double-frees (the property fuzz in
 // tests/paged_kv_property_test.cc drives exactly this invariant).
-bool MigrateKvSequence(PagedKvCache* from, PagedKvCache* to, int64_t seq_id);
+bool MigrateKvSequence(PagedKvCache* from, PagedKvCache* to, int64_t seq_id,
+                       int64_t to_seq_id);
 
 }  // namespace spinfer

@@ -27,48 +27,28 @@ inline constexpr bool kServingObs = true;
 
 // Cached global instruments (find-or-create once; recording is lock-free).
 struct ServingMetrics {
-  obs::Counter* arrived;
-  obs::Counter* rejected;
-  obs::Counter* cancelled;
-  obs::Counter* completed;
-  obs::Counter* tokens;
-  obs::Counter* iterations;
-  obs::Counter* prefix_hit_blocks;
-  obs::Counter* prefix_miss_blocks;
-  obs::Counter* cow_copies;
-  obs::Gauge* queue_depth;
-  obs::Gauge* batch_size;
-  obs::Gauge* kv_used_blocks;
-  obs::Gauge* kv_utilization;
-  obs::Gauge* kv_wasted_slots;
-  obs::Histogram* latency_ms;
-  obs::Histogram* ttft_ms;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Counter* arrived = reg.GetCounter("srv.requests_arrived");
+  obs::Counter* rejected = reg.GetCounter("srv.requests_rejected");
+  obs::Counter* cancelled = reg.GetCounter("srv.requests_cancelled");
+  obs::Counter* completed = reg.GetCounter("srv.requests_completed");
+  obs::Counter* tokens = reg.GetCounter("srv.tokens_generated");
+  obs::Counter* iterations = reg.GetCounter("srv.iterations");
+  obs::Counter* prefix_hit_blocks = reg.GetCounter("srv.prefix_hit_blocks");
+  obs::Counter* prefix_miss_blocks = reg.GetCounter("srv.prefix_miss_blocks");
+  obs::Counter* cow_copies = reg.GetCounter("srv.cow_copies");
+  obs::Gauge* queue_depth = reg.GetGauge("srv.queue_depth");
+  obs::Gauge* batch_size = reg.GetGauge("srv.batch_size");
+  obs::Gauge* kv_used_blocks = reg.GetGauge("srv.kv_used_blocks");
+  obs::Gauge* kv_utilization = reg.GetGauge("srv.kv_utilization");
+  obs::Gauge* kv_wasted_slots = reg.GetGauge("srv.kv_wasted_slots");
+  obs::Histogram* latency_ms = reg.GetHistogram(
+      "srv.request_latency_ms", obs::Histogram::ExponentialBuckets(0.1, 2.0, 24));
+  obs::Histogram* ttft_ms = reg.GetHistogram(
+      "srv.ttft_ms", obs::Histogram::ExponentialBuckets(0.1, 2.0, 24));
 
   static ServingMetrics& Get() {
-    static ServingMetrics m = [] {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-      ServingMetrics s;
-      s.arrived = reg.GetCounter("srv.requests_arrived");
-      s.rejected = reg.GetCounter("srv.requests_rejected");
-      s.cancelled = reg.GetCounter("srv.requests_cancelled");
-      s.completed = reg.GetCounter("srv.requests_completed");
-      s.tokens = reg.GetCounter("srv.tokens_generated");
-      s.iterations = reg.GetCounter("srv.iterations");
-      s.prefix_hit_blocks = reg.GetCounter("srv.prefix_hit_blocks");
-      s.prefix_miss_blocks = reg.GetCounter("srv.prefix_miss_blocks");
-      s.cow_copies = reg.GetCounter("srv.cow_copies");
-      s.queue_depth = reg.GetGauge("srv.queue_depth");
-      s.batch_size = reg.GetGauge("srv.batch_size");
-      s.kv_used_blocks = reg.GetGauge("srv.kv_used_blocks");
-      s.kv_utilization = reg.GetGauge("srv.kv_utilization");
-      s.kv_wasted_slots = reg.GetGauge("srv.kv_wasted_slots");
-      s.latency_ms = reg.GetHistogram(
-          "srv.request_latency_ms",
-          obs::Histogram::ExponentialBuckets(0.1, 2.0, 24));
-      s.ttft_ms = reg.GetHistogram(
-          "srv.ttft_ms", obs::Histogram::ExponentialBuckets(0.1, 2.0, 24));
-      return s;
-    }();
+    static ServingMetrics m;
     return m;
   }
 };
@@ -127,6 +107,33 @@ std::string ExecServingReport::ToString() const {
   return std::string(buf);
 }
 
+std::string ValidateCostConfig(const EngineConfig& cost, const char* field) {
+  const std::string f(field);
+  if (cost.model.hidden <= 0) return f + ".model.hidden must be > 0";
+  if (cost.model.heads <= 0) return f + ".model.heads must be > 0";
+  if (cost.model.layers <= 0) return f + ".model.layers must be > 0";
+  if (cost.num_gpus < 1) return f + ".num_gpus must be >= 1";
+  // Negated so that NaN fails too.
+  if (!(cost.device.dram_bw_gbs > 0.0)) {
+    return f + ".device.dram_bw_gbs must be > 0";
+  }
+  if (!(cost.device.tc_fp16_tflops > 0.0)) {
+    return f + ".device.tc_fp16_tflops must be > 0";
+  }
+  return "";
+}
+
+std::string ServingEngineConfig::Validate() const {
+  if (max_batch <= 0) return "max_batch must be > 0";
+  if (prefill_chunk_tokens < 0) return "prefill_chunk_tokens must be >= 0";
+  return ValidateCostConfig(cost, "cost");
+}
+
+bool IsWellFormedRequest(const RequestRecord& r, const TinyConfig& model) {
+  return std::isfinite(r.arrival_s) && r.arrival_s >= 0.0 &&
+         model.InVocab(r.prompt);
+}
+
 ServingEngine::ServingEngine(const TinyTransformer* model,
                              const ServingEngineConfig& cfg)
     : ServingEngine(new SingleInstanceSubstrate(model, cfg.kv_block_tokens,
@@ -139,8 +146,8 @@ ServingEngine::ServingEngine(ServingSubstrate* substrate,
                              const ServingEngineConfig& cfg)
     : substrate_(substrate), cfg_(cfg) {
   SPINFER_CHECK(substrate != nullptr);
-  SPINFER_CHECK(cfg.max_batch > 0);
-  SPINFER_CHECK(cfg.prefill_chunk_tokens >= 0);
+  SPINFER_CHECK_MSG(cfg.Validate().empty(),
+                    "ServingEngineConfig: " << cfg.Validate());
   if (kServingObs) {
     if (cfg.obs.request_timeline) {
       request_log_ = std::make_unique<obs::RequestLog>(cfg.obs.wall_clock);
@@ -167,16 +174,39 @@ ServingEngine::~ServingEngine() {
 
 int64_t ServingEngine::Submit(std::vector<int32_t> prompt, int64_t max_new_tokens,
                               double arrival_s) {
+  return Enqueue(std::move(prompt), max_new_tokens, arrival_s, KvSource{});
+}
+
+int64_t ServingEngine::SubmitPrefilled(std::vector<int32_t> prompt,
+                                       int32_t first_token,
+                                       int64_t max_new_tokens, double arrival_s,
+                                       PagedKvCache* kv_pool,
+                                       int64_t kv_seq_id) {
+  SPINFER_CHECK(kv_pool != nullptr);
+  SPINFER_CHECK_EQ(kv_pool->SequenceTokens(kv_seq_id),
+                   static_cast<int64_t>(prompt.size()));
+  return Enqueue(std::move(prompt), max_new_tokens, arrival_s,
+                 KvSource{kv_pool, kv_seq_id, first_token});
+}
+
+int64_t ServingEngine::Enqueue(std::vector<int32_t> prompt,
+                               int64_t max_new_tokens, double arrival_s,
+                               KvSource kv) {
   std::lock_guard<std::mutex> lock(submit_mu_);
-  SPINFER_CHECK_MSG(!ran_, "Submit after Run");
-  RequestRecord r;
-  r.id = static_cast<int64_t>(records_.size());
+  SPINFER_CHECK_MSG(!started_, "Submit after the scheduler started");
+  RequestRecord& r = records_.emplace_back();
+  r.id = static_cast<int64_t>(records_.size()) - 1;
   r.prompt = std::move(prompt);
   r.max_new_tokens = max_new_tokens;
   r.arrival_s = arrival_s;
-  records_.push_back(std::move(r));
+  if (kv.pool != nullptr) {
+    // The first token exists on arrival: it came from the prefill logits.
+    r.generated.push_back(kv.first_token);
+    r.first_token_s = arrival_s;
+  }
+  kv_sources_.push_back(kv);
   ServingMetrics::Get().arrived->Increment();
-  return records_.back().id;
+  return r.id;
 }
 
 void ServingEngine::Cancel(int64_t id, double at_s) {
@@ -226,100 +256,104 @@ bool ServingEngine::IsServable(const RequestRecord& r) const {
          substrate_->cache().total_blocks();
 }
 
-ExecServingReport ServingEngine::Run() {
-  SPINFER_CHECK_MSG(!ran_, "ServingEngine::Run is single-shot");
-  ran_ = true;
-  ServingMetrics& metrics = ServingMetrics::Get();
+void ServingEngine::Reject(RequestRecord& r, int64_t iter) {
+  r.reason = FinishReason::kRejected;
+  r.finish_s = now_s_;
+  ++report_.rejected;
+  ServingMetrics::Get().rejected->Increment();
+  if (kServingObs && request_log_ != nullptr) {
+    request_log_->Append(r.id, obs::RequestEventKind::kRejected, iter, now_s_);
+  }
+}
 
-  ExecServingReport report;
-  report.arrived = static_cast<int64_t>(records_.size());
+void ServingEngine::RecordTerminalSpan(const RequestRecord& r) const {
+  // Per-request span on the virtual timeline (finish on eviction).
+  const obs::TraceArg args[] = {{"id", r.id},
+                                {"generated",
+                                 static_cast<int64_t>(r.generated.size())}};
+  obs::Tracer::Global().Record(
+      "srv.request", static_cast<uint64_t>(r.arrival_s * 1e9),
+      static_cast<uint64_t>((now_s_ - r.arrival_s) * 1e9), args, 2);
+}
+
+void ServingEngine::Start() {
+  {
+    std::lock_guard<std::mutex> lock(submit_mu_);
+    started_ = true;
+  }
+  report_.arrived = static_cast<int64_t>(records_.size());
 
   // FIFO queue of request ids by (arrival, submission order). stable_sort
-  // keeps equal-arrival requests in id order.
-  std::vector<int64_t> order(records_.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = static_cast<int64_t>(i);
+  // keeps equal-arrival requests in id order. A malformed request is
+  // rejected before the first iteration and never enters the sort.
+  std::vector<int64_t> order;
+  order.reserve(records_.size());
+  for (RequestRecord& r : records_) {
+    if (IsWellFormedRequest(r, substrate_->model_config())) {
+      order.push_back(r.id);
+    } else {
+      Reject(r, /*iter=*/-1);
+    }
   }
   std::stable_sort(order.begin(), order.end(), [this](int64_t a, int64_t b) {
     return records_[static_cast<size_t>(a)].arrival_s <
            records_[static_cast<size_t>(b)].arrival_s;
   });
-  std::deque<int64_t> queue(order.begin(), order.end());
-  // A prompt token outside the vocabulary cannot be embedded: such a request
-  // is rejected at queue head like any other unservable one, never run (its
-  // step would abort every in-flight request). Scanned once per request.
-  std::vector<bool> in_vocab(records_.size());
-  for (size_t i = 0; i < records_.size(); ++i) {
-    in_vocab[i] = substrate_->model_config().InVocab(records_[i].prompt);
-  }
+  queue_.assign(order.begin(), order.end());
 
-  // Observability is read-only on engine state: everything below that touches
-  // tl / flight_recorder_ / slo_tracker_ records what already happened and
-  // feeds nothing back. `kServingObs &&` folds the sites out under
+  // Observability is read-only on engine state: everything that touches
+  // request_log_ / flight_recorder_ / slo_tracker_ records what already
+  // happened and feeds nothing back. `kServingObs &&` folds the sites out under
   // SPINFER_TRACING_DISABLED. Submitted events go out up front in queue
   // (arrival, id) order — the single-writer discipline that keeps the JSONL
   // byte-stable across thread counts.
+  if (kServingObs && flight_recorder_ != nullptr &&
+      cfg_.obs.dump_flight_recorder_on_check) {
+    InstallFlightRecorderCrashDump(flight_recorder_.get());
+  }
+  if (kServingObs && request_log_ != nullptr) {
+    for (const int64_t id : queue_) {
+      const RequestRecord& r = records_[static_cast<size_t>(id)];
+      request_log_->Append(r.id, obs::RequestEventKind::kSubmitted, -1, r.arrival_s,
+                           {{"prompt_tokens", static_cast<int64_t>(r.prompt.size())},
+                            {"max_new", r.max_new_tokens}});
+    }
+  }
+}
+
+std::optional<ServingStep> ServingEngine::Step() {
+  if (!started_) {
+    Start();
+  }
+  ServingMetrics& metrics = ServingMetrics::Get();
   obs::RequestLog* const tl = kServingObs ? request_log_.get() : nullptr;
   obs::FlightRecorder* const fr =
       kServingObs ? flight_recorder_.get() : nullptr;
   obs::SloTracker* const slo = kServingObs ? slo_tracker_.get() : nullptr;
-  if (kServingObs && fr != nullptr && cfg_.obs.dump_flight_recorder_on_check) {
-    InstallFlightRecorderCrashDump(fr);
-  }
-  if (kServingObs && tl != nullptr) {
-    for (const int64_t id : queue) {
-      const RequestRecord& r = records_[static_cast<size_t>(id)];
-      tl->Append(r.id, obs::RequestEventKind::kSubmitted, -1, r.arrival_s,
-                 {{"prompt_tokens", static_cast<int64_t>(r.prompt.size())},
-                  {"max_new", r.max_new_tokens}});
-    }
-  }
-  std::vector<int64_t> fr_admitted_ids;
 
   const auto footprint_of = [this](const RequestRecord& r) {
     return substrate_->cache().BlocksForTokens(static_cast<int64_t>(r.prompt.size()) +
                                   r.max_new_tokens);
   };
 
-  std::vector<Active> running;
-  std::vector<int64_t> dec_ids;
-  std::vector<int32_t> dec_last;
-  std::vector<int32_t> dec_next;
-  std::vector<int32_t> chunk_next;
-  std::vector<PrefillChunk> chunks;
-  std::vector<std::pair<double, int64_t>> due_cancels;
-  std::vector<double> latencies_ms;
-  std::vector<double> ttfts_ms;
-  double now_s = 0.0;
-  double batch_time_integral = 0.0;
-  int64_t published_cow = 0;
-
-  const auto record_terminal_span = [&](const RequestRecord& r) {
-    // Per-request span on the virtual timeline (finish on eviction).
-    const obs::TraceArg args[] = {{"id", r.id},
-                                  {"generated",
-                                   static_cast<int64_t>(r.generated.size())}};
-    obs::Tracer::Global().Record(
-        "srv.request", static_cast<uint64_t>(r.arrival_s * 1e9),
-        static_cast<uint64_t>((now_s - r.arrival_s) * 1e9), args, 2);
-  };
-
-  while (!queue.empty() || !running.empty()) {
-    // 0-based index of the iteration this pass would execute; idle passes
-    // (clock jumps) share the index with the iteration that follows them.
-    const int64_t iter_idx = report.iterations;
-    int64_t fr_admitted = 0;
-    int64_t fr_rejected = 0;
-    fr_admitted_ids.clear();
+  // 0-based index of the iteration this Step executes; idle passes (clock
+  // jumps) share the index with the iteration that follows them.
+  const int64_t iter_idx = report_.iterations;
+  int64_t fr_admitted = 0;
+  int64_t fr_rejected = 0;
+  while (true) {
+    fr_admitted = 0;
+    fr_rejected = 0;
+    fr_admitted_ids_.clear();
 
     // --- Cancellation: applied at iteration boundaries, in (at_s, id) order
     // for determinism, once the virtual clock reaches the cancel time. -----
-    due_cancels.clear();
+    due_cancels_.clear();
     {
       std::lock_guard<std::mutex> lock(submit_mu_);
       for (size_t i = 0; i < cancels_.size();) {
-        if (cancels_[i].first <= now_s) {
-          due_cancels.push_back(cancels_[i]);
+        if (cancels_[i].first <= now_s_) {
+          due_cancels_.push_back(cancels_[i]);
           cancels_[i] = cancels_.back();
           cancels_.pop_back();
         } else {
@@ -327,8 +361,8 @@ ExecServingReport ServingEngine::Run() {
         }
       }
     }
-    std::sort(due_cancels.begin(), due_cancels.end());
-    for (const auto& [at_s, id] : due_cancels) {
+    std::sort(due_cancels_.begin(), due_cancels_.end());
+    for (const auto& [at_s, id] : due_cancels_) {
       if (id < 0 || id >= static_cast<int64_t>(records_.size())) {
         continue;
       }
@@ -337,27 +371,27 @@ ExecServingReport ServingEngine::Run() {
         continue;  // already finished — cancellation lost the race
       }
       r.reason = FinishReason::kCancelled;
-      r.finish_s = now_s;
-      ++report.cancelled;
+      r.finish_s = now_s_;
+      ++report_.cancelled;
       metrics.cancelled->Increment();
       const auto run_it =
-          std::find_if(running.begin(), running.end(),
+          std::find_if(running_.begin(), running_.end(),
                        [id](const Active& a) { return a.id == id; });
-      const bool was_running = run_it != running.end();
+      const bool was_running = run_it != running_.end();
       if (was_running) {
         substrate_->RemoveSequence(id);  // refcount-aware: shared blocks survive
-        running.erase(run_it);
+        running_.erase(run_it);
       } else {
-        queue.erase(std::find(queue.begin(), queue.end(), id));
+        queue_.erase(std::find(queue_.begin(), queue_.end(), id));
       }
-      record_terminal_span(r);
+      RecordTerminalSpan(r);
       if (kServingObs && tl != nullptr) {
         // A running victim is "evicted" (its KV blocks were reclaimed); a
         // queued one was merely "cancelled".
         tl->Append(id,
                    was_running ? obs::RequestEventKind::kEvicted
                                : obs::RequestEventKind::kCancelled,
-                   iter_idx, now_s,
+                   iter_idx, now_s_,
                    {{"generated", static_cast<int64_t>(r.generated.size())}});
       }
     }
@@ -369,36 +403,33 @@ ExecServingReport ServingEngine::Run() {
     // trigger copy-on-write: only full blocks are shared, so a sequence's
     // divergent writes land in private tail blocks). With nothing shared
     // this admission check is integer-for-integer the v1 sum-of-footprints
-    // commitment; with sharing it counts shared blocks once.
+    // commitment; with sharing it counts shared blocks once. A prefilled
+    // request is no exception: it arrives holding its prompt's blocks.
     int64_t reserve = 0;
-    for (const Active& a : running) {
+    for (const Active& a : running_) {
       reserve += footprint_of(records_[static_cast<size_t>(a.id)]) -
                  substrate_->cache().BlocksForTokens(
                      substrate_->cache().SequenceTokens(a.id));
     }
-    while (!queue.empty()) {
-      RequestRecord& r = records_[static_cast<size_t>(queue.front())];
-      if (r.arrival_s > now_s) {
+    while (!queue_.empty()) {
+      RequestRecord& r = records_[static_cast<size_t>(queue_.front())];
+      if (r.arrival_s > now_s_) {
         break;
       }
-      if (!in_vocab[static_cast<size_t>(r.id)] || !IsServable(r)) {
-        queue.pop_front();
-        r.reason = FinishReason::kRejected;
-        r.finish_s = now_s;
-        ++report.rejected;
+      if (!IsServable(r)) {
+        queue_.pop_front();
+        Reject(r, iter_idx);
         ++fr_rejected;
-        metrics.rejected->Increment();
-        if (kServingObs && tl != nullptr) {
-          tl->Append(r.id, obs::RequestEventKind::kRejected, iter_idx, now_s);
-        }
         continue;
       }
-      if (static_cast<int64_t>(running.size()) >= cfg_.max_batch) {
+      if (static_cast<int64_t>(running_.size()) >= cfg_.max_batch) {
         break;
       }
+      const KvSource& kv = kv_sources_[static_cast<size_t>(r.id)];
+      const bool prefilled = kv.pool != nullptr;
       const int64_t prompt_len = static_cast<int64_t>(r.prompt.size());
       PagedKvCache::PrefixMatch match;
-      if (cfg_.enable_prefix_cache) {
+      if (cfg_.enable_prefix_cache && !prefilled) {
         match = substrate_->MatchPrefix(r.prompt);
       }
       const int64_t prompt_blocks = substrate_->cache().BlocksForTokens(prompt_len);
@@ -409,14 +440,19 @@ ExecServingReport ServingEngine::Run() {
           substrate_->cache().total_blocks()) {
         break;
       }
-      queue.pop_front();
-      SPINFER_CHECK(
-          substrate_->AddSequenceSharing(r.id, r.prompt, prompt_len, match));
+      queue_.pop_front();
+      if (prefilled) {
+        SPINFER_CHECK_MSG(substrate_->AdoptSequence(kv.pool, kv.seq_id, r.id),
+                          "substrate cannot adopt prefilled request " << r.id);
+      } else {
+        SPINFER_CHECK(
+            substrate_->AddSequenceSharing(r.id, r.prompt, prompt_len, match));
+      }
       reserve += growth;
-      r.admit_s = now_s;
+      r.admit_s = now_s_;
       r.cached_prompt_tokens = match.tokens;
-      report.prefix_hit_blocks += static_cast<int64_t>(match.blocks.size());
-      report.prefix_miss_blocks += fresh_blocks;
+      report_.prefix_hit_blocks += static_cast<int64_t>(match.blocks.size());
+      report_.prefix_miss_blocks += fresh_blocks;
       if (cfg_.enable_prefix_cache) {
         metrics.prefix_hit_blocks->Add(
             static_cast<uint64_t>(match.blocks.size()));
@@ -425,257 +461,268 @@ ExecServingReport ServingEngine::Run() {
       admission_order_.push_back(r.id);
       ++fr_admitted;
       if (kServingObs && fr != nullptr) {
-        fr_admitted_ids.push_back(r.id);
+        fr_admitted_ids_.push_back(r.id);
       }
       if (kServingObs && tl != nullptr) {
-        tl->Append(r.id, obs::RequestEventKind::kAdmitted, iter_idx, now_s,
+        tl->Append(r.id, obs::RequestEventKind::kAdmitted, iter_idx, now_s_,
                    {{"fresh_blocks", fresh_blocks},
                     {"shared_blocks",
                      static_cast<int64_t>(match.blocks.size())}});
         if (cfg_.enable_prefix_cache) {
           tl->Append(
-              r.id, obs::RequestEventKind::kPrefixMatch, iter_idx, now_s,
+              r.id, obs::RequestEventKind::kPrefixMatch, iter_idx, now_s_,
               {{"hit_blocks", static_cast<int64_t>(match.blocks.size())},
                {"miss_blocks", fresh_blocks},
                {"cached_tokens", match.tokens}});
         }
       }
-      // Prefill starts past the adopted prefix; the chunk scheduler below
-      // computes the rest (this same iteration when chunking is off).
-      running.push_back(Active{r.id, match.tokens});
+      // Prefill starts past the adopted prefix (a prefilled request has
+      // none left); the chunk scheduler below computes the rest (this same
+      // iteration when chunking is off).
+      running_.push_back(Active{r.id, prefilled ? prompt_len : match.tokens});
     }
 
-    if (running.empty()) {
-      if (queue.empty()) {
-        break;
-      }
-      // Idle: jump the virtual clock to the next event. With an empty batch
-      // the head always admits or rejects, so its arrival must be in the
-      // future — anything else would spin this loop forever. A pending
-      // cancel for a not-yet-arrived request applies at that same boundary.
-      const double next_arrival =
-          records_[static_cast<size_t>(queue.front())].arrival_s;
-      SPINFER_CHECK_MSG(next_arrival > now_s,
-                        "scheduler wedged: empty batch cannot admit the "
-                        "queue head");
-      now_s = next_arrival;
-      continue;
+    if (!running_.empty()) {
+      break;
     }
+    if (queue_.empty()) {
+      return std::nullopt;
+    }
+    // Idle: jump the virtual clock to the next event. With an empty batch
+    // the head always admits or rejects, so its arrival must be in the
+    // future — anything else would spin this loop forever. A pending
+    // cancel for a not-yet-arrived request applies at that same boundary.
+    const double next_arrival =
+        records_[static_cast<size_t>(queue_.front())].arrival_s;
+    SPINFER_CHECK_MSG(next_arrival > now_s_,
+                      "scheduler wedged: empty batch cannot admit the "
+                      "queue head");
+    now_s_ = next_arrival;
+  }
 
-    // --- Build the mixed iteration: every prefill-complete sequence decodes
-    // one token; prefilling sequences get prompt chunks under the
-    // per-iteration token budget (0 = unlimited), in running order. --------
-    dec_ids.clear();
-    dec_last.clear();
-    chunks.clear();
-    int64_t chunk_tokens_sum = 0;
-    for (const Active& a : running) {
-      const RequestRecord& r = records_[static_cast<size_t>(a.id)];
-      const int64_t prompt_len = static_cast<int64_t>(r.prompt.size());
-      if (a.prefill_pos < prompt_len) {
-        int64_t take = prompt_len - a.prefill_pos;
-        if (cfg_.prefill_chunk_tokens > 0) {
-          take = std::min(take, cfg_.prefill_chunk_tokens - chunk_tokens_sum);
-        }
-        if (take <= 0) {
-          continue;  // budget spent; this sequence resumes next iteration
-        }
-        chunks.push_back(PrefillChunk{a.id, &r.prompt, a.prefill_pos, take});
-        chunk_tokens_sum += take;
-      } else {
-        dec_ids.push_back(a.id);
-        dec_last.push_back(r.generated.back());
+  // --- Build the mixed iteration: every prefill-complete sequence decodes
+  // one token; prefilling sequences get prompt chunks under the
+  // per-iteration token budget (0 = unlimited), in running order. --------
+  dec_ids_.clear();
+  dec_last_.clear();
+  chunks_.clear();
+  int64_t chunk_tokens_sum = 0;
+  for (const Active& a : running_) {
+    const RequestRecord& r = records_[static_cast<size_t>(a.id)];
+    const int64_t prompt_len = static_cast<int64_t>(r.prompt.size());
+    if (a.prefill_pos < prompt_len) {
+      int64_t take = prompt_len - a.prefill_pos;
+      if (cfg_.prefill_chunk_tokens > 0) {
+        take = std::min(take, cfg_.prefill_chunk_tokens - chunk_tokens_sum);
       }
-    }
-
-    const int64_t batch = static_cast<int64_t>(running.size());
-    ++report.iterations;
-    metrics.iterations->Increment();
-    report.peak_batch = std::max(report.peak_batch, batch);
-    report.peak_kv_blocks =
-        std::max(report.peak_kv_blocks, substrate_->cache().used_blocks());
-    SPINFER_TRACE_SCOPE_ARG("srv.step", "batch", batch);
-
-    if (kServingObs && tl != nullptr) {
-      for (const PrefillChunk& c : chunks) {
-        tl->Append(c.seq_id, obs::RequestEventKind::kChunkScheduled, iter_idx,
-                   now_s, {{"start", c.start}, {"tokens", c.count}});
+      if (take <= 0) {
+        continue;  // budget spent; this sequence resumes next iteration
       }
-    }
-    // Flight-recorder composition is captured at execution time (post-
-    // admission, pre-retire): that is the working set a crash dump needs.
-    // Cost and the post-iteration clock are filled in after pricing.
-    obs::IterationSnapshot fr_snap;
-    if (kServingObs && fr != nullptr) {
-      fr_snap.iter = iter_idx;
-      fr_snap.batch = batch;
-      fr_snap.decode_seqs = static_cast<int64_t>(dec_ids.size());
-      fr_snap.prefill_seqs = static_cast<int64_t>(chunks.size());
-      fr_snap.chunk_tokens = chunk_tokens_sum;
-      fr_snap.admitted = fr_admitted;
-      fr_snap.rejected = fr_rejected;
-      fr_snap.queue_depth = static_cast<int64_t>(queue.size());
-      fr_snap.kv_used_blocks = substrate_->cache().used_blocks();
-      fr_snap.kv_total_blocks = substrate_->cache().total_blocks();
-      fr_snap.kv_wasted_slots = substrate_->cache().WastedTokenSlots();
-      fr_snap.batch_ids.reserve(running.size());
-      for (const Active& a : running) {
-        fr_snap.batch_ids.push_back(a.id);
-      }
-      fr_snap.admitted_ids = fr_admitted_ids;
-    }
-
-    // --- Execute: ONE matmul per weight with N = decode + chunk columns. ---
-    substrate_->MixedStep(dec_ids, dec_last, chunks, cfg_.backend,
-                      &dec_next, &chunk_next);
-    for (size_t i = 0; i < dec_ids.size(); ++i) {
-      records_[static_cast<size_t>(dec_ids[i])].generated.push_back(dec_next[i]);
-    }
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      const int64_t id = chunks[c].seq_id;
-      Active& a = *std::find_if(running.begin(), running.end(),
-                                [id](const Active& x) { return x.id == id; });
-      a.prefill_pos += chunks[c].count;
-      RequestRecord& r = records_[static_cast<size_t>(id)];
-      if (a.prefill_pos == static_cast<int64_t>(r.prompt.size())) {
-        SPINFER_CHECK(chunk_next[c] >= 0);
-        r.generated.push_back(chunk_next[c]);
-      }
-      if (cfg_.enable_prefix_cache) {
-        // Newly filled full blocks become adoptable by later arrivals.
-        substrate_->IndexPrefix(id, r.prompt, a.prefill_pos);
-      }
-    }
-
-    // --- Advance the virtual clock: expression-for-expression the analytic
-    // simulator's pricing. Chunk columns are priced as prefill work; every
-    // producer (decoded or prefill-completed this iteration) now holds
-    // g_pre + 1 generated tokens, so its context contribution is
-    // prompt + (generated - 1) + 1, the analytic `input_len + g_pre + 1`.
-    double iter_us = 0.0;
-    if (!chunks.empty()) {
-      const int64_t n_chunks = static_cast<int64_t>(chunks.size());
-      iter_us += PrefillTimeUs(cfg_.cost, n_chunks, chunk_tokens_sum / n_chunks);
-    }
-    int64_t producers = 0;
-    int64_t context_sum = 0;
-    for (const Active& a : running) {
-      const RequestRecord& r = records_[static_cast<size_t>(a.id)];
-      if (a.prefill_pos < static_cast<int64_t>(r.prompt.size())) {
-        continue;  // mid-prefill: produced no token this iteration
-      }
-      ++producers;
-      context_sum += static_cast<int64_t>(r.prompt.size()) +
-                     (static_cast<int64_t>(r.generated.size()) - 1) + 1;
-    }
-    if (producers > 0) {
-      iter_us += DecodeStepTimeUs(cfg_.cost, producers, context_sum / producers);
-    }
-    report.peak_iter_ms = std::max(report.peak_iter_ms, iter_us / 1e3);
-    now_s += iter_us / 1e6;
-    batch_time_integral += static_cast<double>(batch) * iter_us / 1e6;
-    report.tokens_generated += producers;
-    metrics.tokens->Add(static_cast<uint64_t>(producers));
-
-    // First-token timestamps for sequences whose prefill completed at this
-    // iteration's boundary (decode-phase sequences got theirs earlier).
-    for (const PrefillChunk& c : chunks) {
-      RequestRecord& r = records_[static_cast<size_t>(c.seq_id)];
-      if (c.start + c.count == static_cast<int64_t>(r.prompt.size())) {
-        r.first_token_s = now_s;
-        r.ttft_ms = (now_s - r.arrival_s) * 1e3;
-        if (kServingObs && slo != nullptr) {
-          slo->RecordTtftMs(r.ttft_ms);
-        }
-      }
-    }
-    if (kServingObs && slo != nullptr) {
-      // Every decode-phase producer waited exactly this iteration for its
-      // token: the iteration cost IS the inter-token gap.
-      for (size_t i = 0; i < dec_ids.size(); ++i) {
-        slo->RecordTbtMs(iter_us / 1e3);
-      }
-    }
-    if (kServingObs && tl != nullptr) {
-      // One decode event per producer (decode-phase and prefill-completers
-      // alike), stamped at the post-iteration boundary where the token
-      // materializes.
-      for (const Active& a : running) {
-        const RequestRecord& r = records_[static_cast<size_t>(a.id)];
-        if (a.prefill_pos < static_cast<int64_t>(r.prompt.size())) {
-          continue;
-        }
-        tl->Append(a.id, obs::RequestEventKind::kDecodeIteration, iter_idx,
-                   now_s,
-                   {{"token", r.generated.back()},
-                    {"generated", static_cast<int64_t>(r.generated.size())}});
-      }
-    }
-
-    // --- Retire: EOS or token budget (mid-prefill sequences stay). ---------
-    for (auto it = running.begin(); it != running.end();) {
-      RequestRecord& r = records_[static_cast<size_t>(it->id)];
-      if (it->prefill_pos < static_cast<int64_t>(r.prompt.size())) {
-        ++it;
-        continue;
-      }
-      const bool eos =
-          cfg_.eos_token >= 0 && r.generated.back() == cfg_.eos_token;
-      if (!eos &&
-          static_cast<int64_t>(r.generated.size()) < r.max_new_tokens) {
-        ++it;
-        continue;
-      }
-      r.reason = eos ? FinishReason::kEos : FinishReason::kMaxTokens;
-      r.finish_s = now_s;
-      r.latency_ms = (now_s - r.arrival_s) * 1e3;
-      latencies_ms.push_back(r.latency_ms);
-      ttfts_ms.push_back(r.ttft_ms);
-      metrics.latency_ms->Record(r.latency_ms);
-      metrics.ttft_ms->Record(r.ttft_ms);
-      metrics.completed->Increment();
-      ++report.completed;
-      substrate_->RemoveSequence(r.id);
-      record_terminal_span(r);
-      if (kServingObs && tl != nullptr) {
-        tl->Append(r.id, obs::RequestEventKind::kFinished, iter_idx, now_s,
-                   {{"generated", static_cast<int64_t>(r.generated.size())},
-                    {"eos", eos ? 1 : 0}});
-      }
-      it = running.erase(it);
-    }
-
-    if (kServingObs && fr != nullptr) {
-      fr_snap.vt_s = now_s;
-      fr_snap.cost_ms = iter_us / 1e3;
-      fr->Record(std::move(fr_snap));
-    }
-    if (kServingObs && slo != nullptr) {
-      slo->EndIteration(substrate_->cache().Utilization(),
-                        &obs::MetricsRegistry::Global());
-    }
-
-    metrics.queue_depth->Set(static_cast<double>(queue.size()));
-    metrics.batch_size->Set(static_cast<double>(running.size()));
-    metrics.kv_used_blocks->Set(
-        static_cast<double>(substrate_->cache().used_blocks()));
-    metrics.kv_utilization->Set(substrate_->cache().Utilization());
-    metrics.kv_wasted_slots->Set(
-        static_cast<double>(substrate_->cache().WastedTokenSlots()));
-    if (substrate_->cache().cow_copies() > published_cow) {
-      metrics.cow_copies->Add(
-          static_cast<uint64_t>(substrate_->cache().cow_copies() - published_cow));
-      published_cow = substrate_->cache().cow_copies();
+      chunks_.push_back(PrefillChunk{a.id, &r.prompt, a.prefill_pos, take});
+      chunk_tokens_sum += take;
+    } else {
+      dec_ids_.push_back(a.id);
+      dec_last_.push_back(r.generated.back());
     }
   }
 
+  const int64_t batch = static_cast<int64_t>(running_.size());
+  ++report_.iterations;
+  metrics.iterations->Increment();
+  report_.peak_batch = std::max(report_.peak_batch, batch);
+  report_.peak_kv_blocks =
+      std::max(report_.peak_kv_blocks, substrate_->cache().used_blocks());
+  SPINFER_TRACE_SCOPE_ARG("srv.step", "batch", batch);
+
+  if (kServingObs && tl != nullptr) {
+    for (const PrefillChunk& c : chunks_) {
+      tl->Append(c.seq_id, obs::RequestEventKind::kChunkScheduled, iter_idx,
+                 now_s_, {{"start", c.start}, {"tokens", c.count}});
+    }
+  }
+  // Flight-recorder composition is captured at execution time (post-
+  // admission, pre-retire): that is the working set a crash dump needs.
+  // Cost and the post-iteration clock are filled in after pricing.
+  obs::IterationSnapshot fr_snap;
+  if (kServingObs && fr != nullptr) {
+    fr_snap.iter = iter_idx;
+    fr_snap.batch = batch;
+    fr_snap.decode_seqs = static_cast<int64_t>(dec_ids_.size());
+    fr_snap.prefill_seqs = static_cast<int64_t>(chunks_.size());
+    fr_snap.chunk_tokens = chunk_tokens_sum;
+    fr_snap.admitted = fr_admitted;
+    fr_snap.rejected = fr_rejected;
+    fr_snap.queue_depth = static_cast<int64_t>(queue_.size());
+    fr_snap.kv_used_blocks = substrate_->cache().used_blocks();
+    fr_snap.kv_total_blocks = substrate_->cache().total_blocks();
+    fr_snap.kv_wasted_slots = substrate_->cache().WastedTokenSlots();
+    fr_snap.batch_ids.reserve(running_.size());
+    for (const Active& a : running_) {
+      fr_snap.batch_ids.push_back(a.id);
+    }
+    fr_snap.admitted_ids = fr_admitted_ids_;
+  }
+
+  // --- Execute: ONE matmul per weight with N = decode + chunk columns. ---
+  substrate_->MixedStep(dec_ids_, dec_last_, chunks_, cfg_.backend,
+                        &dec_next_, &chunk_next_);
+  for (size_t i = 0; i < dec_ids_.size(); ++i) {
+    records_[static_cast<size_t>(dec_ids_[i])].generated.push_back(dec_next_[i]);
+  }
+  for (size_t c = 0; c < chunks_.size(); ++c) {
+    const int64_t id = chunks_[c].seq_id;
+    Active& a = *std::find_if(running_.begin(), running_.end(),
+                              [id](const Active& x) { return x.id == id; });
+    a.prefill_pos += chunks_[c].count;
+    RequestRecord& r = records_[static_cast<size_t>(id)];
+    if (a.prefill_pos == static_cast<int64_t>(r.prompt.size())) {
+      SPINFER_CHECK(chunk_next_[c] >= 0);
+      r.generated.push_back(chunk_next_[c]);
+    }
+    if (cfg_.enable_prefix_cache) {
+      // Newly filled full blocks become adoptable by later arrivals.
+      substrate_->IndexPrefix(id, r.prompt, a.prefill_pos);
+    }
+  }
+
+  // --- Advance the virtual clock: expression-for-expression the analytic
+  // simulator's pricing. Chunk columns are priced as prefill work; every
+  // producer (decoded or prefill-completed this iteration) now holds
+  // g_pre + 1 generated tokens, so its context contribution is
+  // prompt + (generated - 1) + 1, the analytic `input_len + g_pre + 1`.
+  double iter_us = 0.0;
+  if (!chunks_.empty()) {
+    const int64_t n_chunks = static_cast<int64_t>(chunks_.size());
+    iter_us += PrefillTimeUs(cfg_.cost, n_chunks, chunk_tokens_sum / n_chunks);
+  }
+  int64_t producers = 0;
+  int64_t context_sum = 0;
+  for (const Active& a : running_) {
+    const RequestRecord& r = records_[static_cast<size_t>(a.id)];
+    if (a.prefill_pos < static_cast<int64_t>(r.prompt.size())) {
+      continue;  // mid-prefill: produced no token this iteration
+    }
+    ++producers;
+    context_sum += static_cast<int64_t>(r.prompt.size()) +
+                   (static_cast<int64_t>(r.generated.size()) - 1) + 1;
+  }
+  const int64_t mean_context = producers > 0 ? context_sum / producers : 0;
+  if (producers > 0) {
+    iter_us += DecodeStepTimeUs(cfg_.cost, producers, mean_context);
+  }
+  report_.peak_iter_ms = std::max(report_.peak_iter_ms, iter_us / 1e3);
+  now_s_ += iter_us / 1e6;
+  batch_time_integral_ += static_cast<double>(batch) * iter_us / 1e6;
+  report_.tokens_generated += producers;
+  metrics.tokens->Add(static_cast<uint64_t>(producers));
+
+  // First-token timestamps for sequences whose prefill completed at this
+  // iteration's boundary (decode-phase sequences got theirs earlier).
+  for (const PrefillChunk& c : chunks_) {
+    RequestRecord& r = records_[static_cast<size_t>(c.seq_id)];
+    if (c.start + c.count == static_cast<int64_t>(r.prompt.size())) {
+      r.first_token_s = now_s_;
+      r.ttft_ms = (now_s_ - r.arrival_s) * 1e3;
+      if (kServingObs && slo != nullptr) {
+        slo->RecordTtftMs(r.ttft_ms);
+      }
+    }
+  }
+  if (kServingObs && slo != nullptr) {
+    // Every decode-phase producer waited exactly this iteration for its
+    // token: the iteration cost IS the inter-token gap.
+    for (size_t i = 0; i < dec_ids_.size(); ++i) {
+      slo->RecordTbtMs(iter_us / 1e3);
+    }
+  }
+  if (kServingObs && tl != nullptr) {
+    // One decode event per producer (decode-phase and prefill-completers
+    // alike), stamped at the post-iteration boundary where the token
+    // materializes.
+    for (const Active& a : running_) {
+      const RequestRecord& r = records_[static_cast<size_t>(a.id)];
+      if (a.prefill_pos < static_cast<int64_t>(r.prompt.size())) {
+        continue;
+      }
+      tl->Append(a.id, obs::RequestEventKind::kDecodeIteration, iter_idx,
+                 now_s_,
+                 {{"token", r.generated.back()},
+                  {"generated", static_cast<int64_t>(r.generated.size())}});
+    }
+  }
+
+  // --- Retire: EOS or token budget (mid-prefill sequences stay). ---------
+  for (auto it = running_.begin(); it != running_.end();) {
+    RequestRecord& r = records_[static_cast<size_t>(it->id)];
+    if (it->prefill_pos < static_cast<int64_t>(r.prompt.size())) {
+      ++it;
+      continue;
+    }
+    const bool eos =
+        cfg_.eos_token >= 0 && r.generated.back() == cfg_.eos_token;
+    if (!eos &&
+        static_cast<int64_t>(r.generated.size()) < r.max_new_tokens) {
+      ++it;
+      continue;
+    }
+    r.reason = eos ? FinishReason::kEos : FinishReason::kMaxTokens;
+    r.finish_s = now_s_;
+    r.latency_ms = (now_s_ - r.arrival_s) * 1e3;
+    latencies_ms_.push_back(r.latency_ms);
+    ttfts_ms_.push_back(r.ttft_ms);
+    metrics.latency_ms->Record(r.latency_ms);
+    metrics.ttft_ms->Record(r.ttft_ms);
+    metrics.completed->Increment();
+    ++report_.completed;
+    substrate_->RemoveSequence(r.id);
+    RecordTerminalSpan(r);
+    if (kServingObs && tl != nullptr) {
+      tl->Append(r.id, obs::RequestEventKind::kFinished, iter_idx, now_s_,
+                 {{"generated", static_cast<int64_t>(r.generated.size())},
+                  {"eos", eos ? 1 : 0}});
+    }
+    it = running_.erase(it);
+  }
+
+  // --- Observe. ------------------------------------------------------------
+  if (kServingObs && fr != nullptr) {
+    fr_snap.vt_s = now_s_;
+    fr_snap.cost_ms = iter_us / 1e3;
+    fr->Record(std::move(fr_snap));
+  }
+  if (kServingObs && slo != nullptr) {
+    slo->EndIteration(substrate_->cache().Utilization(),
+                      &obs::MetricsRegistry::Global());
+  }
+
+  metrics.queue_depth->Set(static_cast<double>(queue_.size()));
+  metrics.batch_size->Set(static_cast<double>(running_.size()));
+  metrics.kv_used_blocks->Set(
+      static_cast<double>(substrate_->cache().used_blocks()));
+  metrics.kv_utilization->Set(substrate_->cache().Utilization());
+  metrics.kv_wasted_slots->Set(
+      static_cast<double>(substrate_->cache().WastedTokenSlots()));
+  if (substrate_->cache().cow_copies() > published_cow_) {
+    metrics.cow_copies->Add(
+        static_cast<uint64_t>(substrate_->cache().cow_copies() - published_cow_));
+    published_cow_ = substrate_->cache().cow_copies();
+  }
+  return ServingStep{batch, producers, mean_context, iter_us};
+}
+
+ExecServingReport ServingEngine::Run() {
+  SPINFER_CHECK_MSG(!ran_, "ServingEngine::Run is single-shot");
+  ran_ = true;
+  while (Step().has_value()) {
+  }
+  ExecServingReport report = report_;
   report.cow_copies = substrate_->cache().cow_copies();
-  report.sim_time_s = now_s;
+  report.sim_time_s = now_s_;
   report.throughput_tps =
-      static_cast<double>(report.tokens_generated) / std::max(now_s, 1e-9);
-  report.mean_batch = batch_time_integral / std::max(now_s, 1e-9);
-  report.ttft = SummarizeLatenciesMs(std::move(ttfts_ms));
-  report.latency = SummarizeLatenciesMs(std::move(latencies_ms));
+      static_cast<double>(report.tokens_generated) / std::max(now_s_, 1e-9);
+  report.mean_batch = batch_time_integral_ / std::max(now_s_, 1e-9);
+  report.ttft = SummarizeLatenciesMs(ttfts_ms_);
+  report.latency = SummarizeLatenciesMs(latencies_ms_);
   return report;
 }
 

@@ -7,6 +7,20 @@
 // prefill+decode step — one SpMM with N = decode_batch + prefill_chunk
 // columns per weight matrix per iteration.
 //
+// Driving it: Step() runs ONE scheduler iteration (cancel -> admit -> chunk
+// -> execute -> price -> retire -> observe), first jumping the virtual clock
+// over any idle gap, and returns what it priced, or nullopt once every
+// request is finished. Run() is the thin loop over Step() that also
+// assembles the report; it is single-shot, and may follow Step() calls. The
+// first Step() freezes the request set: Submit after it is an error.
+//
+// Prefilled admission: SubmitPrefilled enqueues a request whose prompt was
+// prefilled elsewhere (DisaggCluster's prefill instances). It waits in the
+// same FIFO and passes the same batch-cap and growth-reserve admission, but
+// starts in the decode phase; at admission its KV moves into this engine's
+// pool through ServingSubstrate::AdoptSequence. DisaggCluster's decode
+// instances are plain ServingEngines driven this way.
+//
 // Time model: execution is real, the clock is virtual. Each iteration's
 // duration is priced by the same cost model the analytic simulator uses
 // (PrefillTimeUs / DecodeStepTimeUs), with arithmetic mirrored expression for
@@ -43,8 +57,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,9 +100,9 @@ struct ServingObsConfig {
   // ServingEngine::request_log() (WriteJsonl / ChromeAsyncSpans).
   bool request_timeline = false;
   // Ring capacity (scheduler iterations) of the flight recorder; 0 disables
-  // it. While enabled, Run installs the SPINFER_CHECK crash-dump hook so a
-  // check failure dumps the last N iterations to stderr (the engine
-  // uninstalls its own hook on destruction).
+  // it. While enabled, the first Step installs the SPINFER_CHECK crash-dump
+  // hook so a check failure dumps the last N iterations to stderr (the
+  // engine uninstalls its own hook on destruction).
   int64_t flight_recorder_iters = 0;
   bool dump_flight_recorder_on_check = true;
   // Sliding-window TTFT/TBT percentiles + KV occupancy, published to
@@ -120,7 +136,18 @@ struct ServingEngineConfig {
   EngineConfig cost;
   // Request-scoped observability (timeline / flight recorder / SLO tracker).
   ServingObsConfig obs;
+
+  // "" when the config can drive an engine, else the first bad field and
+  // why. The constructors CHECK this, so a bad config names its field
+  // instead of dividing by zero in the cost model or pricing every
+  // iteration NaN.
+  std::string Validate() const;
 };
+
+// "" when `cost` can price a virtual clock, else the first bad field,
+// prefixed with `field` (e.g. "cost"): a zero model shape or a device with
+// no bandwidth or throughput.
+std::string ValidateCostConfig(const EngineConfig& cost, const char* field);
 
 // Poisson open-loop traffic for InjectPoissonArrivals. Arrival times are
 // drawn from Rng(seed) with exactly the analytic simulator's draw sequence;
@@ -153,6 +180,22 @@ struct RequestRecord {
   // without a hit or with the cache disabled).
   int64_t cached_prompt_tokens = 0;
   FinishReason reason = FinishReason::kNone;
+};
+
+// True when `r` can enter an arrival order at all: a finite, non-negative
+// arrival time (NaN breaks the sort's ordering contract, +inf stalls the
+// clock forever) and every prompt token inside the vocabulary (its step
+// would abort every in-flight request). ServingEngine and DisaggCluster
+// reject a request failing this before scheduling starts.
+bool IsWellFormedRequest(const RequestRecord& r, const TinyConfig& model);
+
+// What one ServingEngine::Step() executed and priced.
+struct ServingStep {
+  int64_t batch = 0;      // running sequences, decoding or prefilling
+  int64_t producers = 0;  // sequences that produced a token
+  // Producers' mean context (the DecodeStepTimeUs argument); 0 with none.
+  int64_t mean_context = 0;
+  double cost_us = 0.0;  // the iteration's virtual duration
 };
 
 struct ExecServingReport {
@@ -204,6 +247,15 @@ class ServingEngine {
   // submission order). `arrival_s` is the request's virtual arrival time.
   int64_t Submit(std::vector<int32_t> prompt, int64_t max_new_tokens,
                  double arrival_s = 0.0);
+  // Enqueues a request prefilled elsewhere: `first_token` is its first
+  // generated token and sequence `kv_seq_id` of `kv_pool` holds the prompt's
+  // KV (borrowed until admission moves it here). It counts `first_token`
+  // against max_new_tokens and decodes from its admission on. Returns the
+  // engine's id for it, which need not equal `kv_seq_id`. If it never
+  // admits (rejected or cancelled), the KV stays in `kv_pool`.
+  int64_t SubmitPrefilled(std::vector<int32_t> prompt, int32_t first_token,
+                          int64_t max_new_tokens, double arrival_s,
+                          PagedKvCache* kv_pool, int64_t kv_seq_id);
 
   // Draws an open-loop Poisson trace and submits every request. Deterministic
   // for a fixed traffic spec (see PoissonTraffic).
@@ -217,10 +269,19 @@ class ServingEngine {
   // called before or during Run.
   void Cancel(int64_t id, double at_s = 0.0);
 
-  // Runs the scheduler until every submitted request is finished (completed,
-  // rejected, or cancelled) and returns the report. Single-shot: one Run per
-  // engine. Must not race Submit.
+  // One scheduler iteration, after jumping the virtual clock over any idle
+  // gap; nullopt once every request is finished. Must not race Submit.
+  std::optional<ServingStep> Step();
+
+  // Steps until every submitted request is finished (completed, rejected, or
+  // cancelled) and returns the report. Single-shot: one Run per engine.
   ExecServingReport Run();
+
+  // False for a request this engine can never run: an empty prompt, a zero
+  // budget, prompt + budget past the model's context window, or a footprint
+  // larger than the whole KV pool. Such a request is rejected when it
+  // reaches the queue head.
+  bool IsServable(const RequestRecord& r) const;
 
   // Post-Run inspection. `results()` is indexed by request id.
   const std::vector<RequestRecord>& results() const { return records_; }
@@ -243,10 +304,21 @@ class ServingEngine {
     int64_t prefill_pos = 0;
   };
 
-  // A request the pool could never hold, or that overflows the model's
-  // context window, is rejected at queue-head time (as is one whose prompt
-  // fails TinyConfig::InVocab, checked once per request in Run).
-  bool IsServable(const RequestRecord& r) const;
+  // Where a SubmitPrefilled request's KV waits until admission.
+  struct KvSource {
+    PagedKvCache* pool = nullptr;  // nullptr: prefilled by this engine
+    int64_t seq_id = 0;
+    int32_t first_token = 0;
+  };
+
+  int64_t Enqueue(std::vector<int32_t> prompt, int64_t max_new_tokens,
+                  double arrival_s, KvSource kv);
+  // First Step: rejects malformed requests (IsWellFormedRequest) and builds
+  // the FIFO queue from the rest.
+  void Start();
+  // Terminal kRejected at the current virtual time, timeline event at `iter`.
+  void Reject(RequestRecord& r, int64_t iter);
+  void RecordTerminalSpan(const RequestRecord& r) const;
 
   // Owned when constructed from a TinyTransformer; null when the substrate
   // is borrowed. `substrate_` is the working pointer either way.
@@ -256,11 +328,31 @@ class ServingEngine {
 
   std::mutex submit_mu_;
   std::vector<RequestRecord> records_;
-  // Pending Cancel calls as (at_s, id), drained by Run at iteration
+  std::vector<KvSource> kv_sources_;  // indexed by request id
+  // Pending Cancel calls as (at_s, id), drained by Step at iteration
   // boundaries; guarded by submit_mu_.
   std::vector<std::pair<double, int64_t>> cancels_;
   std::vector<int64_t> admission_order_;
+  bool started_ = false;  // guarded by submit_mu_
   bool ran_ = false;
+
+  // Scheduler state carried across Steps.
+  std::deque<int64_t> queue_;  // FIFO by (arrival, id)
+  std::vector<Active> running_;
+  double now_s_ = 0.0;
+  double batch_time_integral_ = 0.0;
+  int64_t published_cow_ = 0;
+  ExecServingReport report_;  // counters; Run fills in the rest
+  std::vector<double> latencies_ms_;
+  std::vector<double> ttfts_ms_;
+  // Per-iteration scratch, kept to reuse its capacity.
+  std::vector<int64_t> dec_ids_;
+  std::vector<int32_t> dec_last_;
+  std::vector<int32_t> dec_next_;
+  std::vector<int32_t> chunk_next_;
+  std::vector<PrefillChunk> chunks_;
+  std::vector<std::pair<double, int64_t>> due_cancels_;
+  std::vector<int64_t> fr_admitted_ids_;
 
   // Constructed from cfg.obs in the ctor; null when off. Declared after the
   // state they observe so they are destroyed first.

@@ -32,6 +32,12 @@ void SingleInstanceSubstrate::RemoveSequence(int64_t seq_id) {
   cache_.RemoveSequence(seq_id);
 }
 
+bool SingleInstanceSubstrate::AdoptSequence(PagedKvCache* from,
+                                            int64_t from_seq_id,
+                                            int64_t seq_id) {
+  return MigrateKvSequence(from, &cache_, from_seq_id, seq_id);
+}
+
 void SingleInstanceSubstrate::IndexPrefix(int64_t seq_id,
                                           const std::vector<int32_t>& prompt,
                                           int64_t filled) {

@@ -49,6 +49,16 @@ class ServingSubstrate {
   // Releases `seq_id`'s blocks (refcount-aware) on every shard.
   virtual void RemoveSequence(int64_t seq_id) = 0;
 
+  // Registers `seq_id` by moving sequence `from_seq_id` of another
+  // instance's pool `from` here, KV rows and all (a prompt prefilled
+  // elsewhere; MigrateKvSequence semantics). Returns false, mutating
+  // nothing, when it cannot — which, unless overridden, is always: only a
+  // substrate with one pool of `from`'s geometry can adopt.
+  virtual bool AdoptSequence(PagedKvCache* from, int64_t from_seq_id,
+                             int64_t seq_id) {
+    return false;
+  }
+
   // Files `seq_id`'s full prompt-prefix blocks in the prefix index.
   virtual void IndexPrefix(int64_t seq_id, const std::vector<int32_t>& prompt,
                            int64_t filled) = 0;
@@ -78,6 +88,8 @@ class SingleInstanceSubstrate : public ServingSubstrate {
                           int64_t tokens,
                           const PagedKvCache::PrefixMatch& match) override;
   void RemoveSequence(int64_t seq_id) override;
+  bool AdoptSequence(PagedKvCache* from, int64_t from_seq_id,
+                     int64_t seq_id) override;
   void IndexPrefix(int64_t seq_id, const std::vector<int32_t>& prompt,
                    int64_t filled) override;
   void MixedStep(const std::vector<int64_t>& dec_ids,

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -310,6 +312,128 @@ TEST(DisaggClusterTest, OutOfVocabPromptRejectedOthersUnchanged) {
       EXPECT_EQ(r.generated, clean.results()[i].generated) << "prompt " << i;
     }
   }
+}
+
+// A non-finite or negative arrival time rejects that request before the
+// arrival sort (a NaN would break its ordering and, before, hang the decode
+// loop); the others keep exactly their streams and timings.
+TEST(DisaggClusterTest, BadArrivalTimeRejectedOthersUnchanged) {
+  const TinyTransformer model = MakePrunedModel();
+  const auto prompts = LockstepPrompts(model);
+  auto arrival = [](size_t i) { return 0.001 * static_cast<double>(i); };
+  DisaggCluster clean(&model, ClusterConfig());
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    clean.Submit(prompts[i], kOutputLen, arrival(i));
+  }
+  const DisaggClusterReport clean_report = clean.Run();
+
+  for (const double bad_arrival :
+       {std::nan(""), std::numeric_limits<double>::infinity(), -5.0}) {
+    DisaggCluster cluster(&model, ClusterConfig());
+    std::vector<int64_t> good_ids;
+    int64_t bad_id = -1;
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      if (i == 2) {
+        bad_id = cluster.Submit(prompts[1], kOutputLen, bad_arrival);
+      }
+      good_ids.push_back(cluster.Submit(prompts[i], kOutputLen, arrival(i)));
+    }
+    const DisaggClusterReport report = cluster.Run();
+    EXPECT_EQ(report.rejected, 1) << "arrival " << bad_arrival;
+    EXPECT_EQ(report.completed, kBatch) << "arrival " << bad_arrival;
+    EXPECT_EQ(report.sim_time_s, clean_report.sim_time_s);
+    EXPECT_EQ(report.ttft.p99_ms, clean_report.ttft.p99_ms);
+    EXPECT_EQ(report.latency.mean_ms, clean_report.latency.mean_ms);
+    EXPECT_EQ(cluster.results()[static_cast<size_t>(bad_id)].reason,
+              FinishReason::kRejected);
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      const RequestRecord& r =
+          cluster.results()[static_cast<size_t>(good_ids[i])];
+      const RequestRecord& want = clean.results()[i];
+      EXPECT_EQ(r.generated, want.generated) << "prompt " << i;
+      EXPECT_EQ(r.ttft_ms, want.ttft_ms) << "prompt " << i;
+      EXPECT_EQ(r.latency_ms, want.latency_ms) << "prompt " << i;
+    }
+  }
+}
+
+// Several prefill and decode instances with staggered arrivals: each decode
+// engine numbers its requests from 0, so its ids diverge from the cluster's,
+// yet every stream equals Generate and every multi-token request migrates
+// exactly once.
+TEST(DisaggClusterTest, MultiInstanceDecodeMatchesGenerate) {
+  const TinyTransformer model = MakePrunedModel();
+  Rng rng(41);
+  std::vector<std::vector<int32_t>> prompts;
+  std::vector<int64_t> budgets;
+  int64_t multi_token = 0;
+  for (int i = 0; i < 12; ++i) {
+    prompts.push_back(RandomPrompt(
+        rng, 4 + static_cast<int64_t>(rng.Below(20)), model.config().vocab));
+    // Every fourth request is done at prefill and never migrates.
+    budgets.push_back(i % 4 == 0 ? 1 : 2 + static_cast<int64_t>(rng.Below(10)));
+    multi_token += budgets.back() > 1 ? 1 : 0;
+  }
+
+  for (const int64_t decode_instances : {2, 3}) {
+    DisaggClusterConfig cfg = ClusterConfig();
+    cfg.prefill_instances = 2;
+    cfg.decode_instances = decode_instances;
+    cfg.max_decode_batch = 3;
+    cfg.kv_num_blocks = 16;
+    DisaggCluster cluster(&model, cfg);
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      cluster.Submit(prompts[i], budgets[i], 0.0007 * static_cast<double>(i));
+    }
+    const DisaggClusterReport report = cluster.Run();
+    EXPECT_EQ(report.completed, 12) << "decode_instances=" << decode_instances;
+    EXPECT_EQ(report.migrations, multi_token);
+    int64_t samples = 0;
+    for (int64_t d = 0; d < decode_instances; ++d) {
+      EXPECT_FALSE(cluster.decode_samples(d).empty()) << "instance " << d;
+      samples += static_cast<int64_t>(cluster.decode_samples(d).size());
+    }
+    EXPECT_EQ(samples, report.decode_iterations);
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      const std::vector<int32_t> full = model.Generate(
+          prompts[i], static_cast<int>(budgets[i]), MatmulBackend::kTcaBmeCpu);
+      const std::vector<int32_t> tail(full.begin() + prompts[i].size(),
+                                      full.end());
+      EXPECT_EQ(cluster.results()[i].generated, tail)
+          << "decode_instances=" << decode_instances << " id=" << i;
+    }
+  }
+}
+
+// A config that cannot drive a cluster names its first bad field.
+TEST(DisaggClusterTest, ValidateNamesTheBadField) {
+  EXPECT_EQ(ClusterConfig().Validate(), "");
+  EXPECT_EQ(DisaggClusterConfig{}.Validate(),
+            "prefill_cost.model.hidden must be > 0");
+  DisaggClusterConfig cfg = ClusterConfig();
+  cfg.decode_cost.device = DeviceSpec{};
+  EXPECT_EQ(cfg.Validate(), "decode_cost.device.dram_bw_gbs must be > 0");
+  for (const double bw : {0.0, -1.0, std::nan(""),
+                          std::numeric_limits<double>::infinity()}) {
+    cfg = ClusterConfig();
+    cfg.transfer_bw_gbs = bw;
+    EXPECT_EQ(cfg.Validate(), "transfer_bw_gbs must be finite and > 0")
+        << "bw " << bw;
+  }
+  cfg = ClusterConfig();
+  cfg.max_decode_batch = 0;
+  EXPECT_EQ(cfg.Validate(), "max_decode_batch must be > 0");
+}
+
+TEST(DisaggClusterDeathTest, DefaultConfigDiesNamingTheField) {
+  // The model is built inside the statement: the forked child must not
+  // inherit a running thread pool.
+  EXPECT_DEATH(
+      {
+        const TinyTransformer model = MakePrunedModel();
+        DisaggCluster(&model, DisaggClusterConfig{});
+      },
+      "DisaggClusterConfig: prefill_cost.model.hidden must be > 0");
 }
 
 }  // namespace

@@ -507,7 +507,7 @@ TEST(PagedKvPropertyTest, MigrationFuzzConservesBlocksAndBits) {
         const bool fits =
             (tokens + cfg.block_tokens - 1) / cfg.block_tokens <=
             to.free_blocks();
-        ASSERT_EQ(MigrateKvSequence(&from, &to, seq), fits)
+        ASSERT_EQ(MigrateKvSequence(&from, &to, seq, seq), fits)
             << "seed=" << seed << " op=" << op;
         if (fits) {
           to_shadow.tokens_[seq] = tokens;

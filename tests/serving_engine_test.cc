@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -495,6 +498,126 @@ TEST(ServingEngineTest, OutOfVocabPromptRejectedOthersUnchanged) {
       EXPECT_EQ(r.generated, clean.results()[i].generated) << "prompt " << i;
     }
   }
+}
+
+// An arrival time that is not a finite, non-negative virtual time (NaN,
+// +-inf, negative) is rejected before scheduling and never enters the
+// arrival sort: every other request keeps exactly the stream and timings it
+// gets when the bad request is absent, and the report's latency figures
+// with it.
+TEST(ServingEngineTest, BadArrivalTimeRejectedOthersUnchanged) {
+  const TinyTransformer model = MakePrunedModel();
+  Rng rng(37);
+  std::vector<std::vector<int32_t>> prompts;
+  for (int i = 0; i < 5; ++i) {
+    prompts.push_back(RandomPrompt(rng, 8, model.config().vocab));
+  }
+  auto arrival = [](size_t i) { return 0.002 * static_cast<double>(i); };
+  ServingEngine clean(&model, TestEngineConfig(model.config()));
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    clean.Submit(prompts[i], 6, arrival(i));
+  }
+  const ExecServingReport clean_report = clean.Run();
+
+  for (const double bad_arrival :
+       {std::nan(""), std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), -5.0}) {
+    ServingEngine engine(&model, TestEngineConfig(model.config()));
+    std::vector<int64_t> good_ids;
+    int64_t bad_id = -1;
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      if (i == 2) {
+        bad_id = engine.Submit(prompts[0], 6, bad_arrival);
+      }
+      good_ids.push_back(engine.Submit(prompts[i], 6, arrival(i)));
+    }
+    const ExecServingReport report = engine.Run();
+    EXPECT_EQ(report.arrived, 6) << "arrival " << bad_arrival;
+    EXPECT_EQ(report.rejected, 1) << "arrival " << bad_arrival;
+    EXPECT_EQ(report.completed, 5) << "arrival " << bad_arrival;
+    EXPECT_EQ(engine.results()[static_cast<size_t>(bad_id)].reason,
+              FinishReason::kRejected);
+    EXPECT_EQ(report.sim_time_s, clean_report.sim_time_s);
+    EXPECT_EQ(report.iterations, clean_report.iterations);
+    EXPECT_EQ(report.ttft.p99_ms, clean_report.ttft.p99_ms);
+    EXPECT_EQ(report.ttft.mean_ms, clean_report.ttft.mean_ms);
+    EXPECT_EQ(report.latency.mean_ms, clean_report.latency.mean_ms);
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      const RequestRecord& r = engine.results()[static_cast<size_t>(good_ids[i])];
+      const RequestRecord& want = clean.results()[i];
+      EXPECT_EQ(r.reason, FinishReason::kMaxTokens) << "prompt " << i;
+      EXPECT_EQ(r.generated, want.generated) << "prompt " << i;
+      EXPECT_EQ(r.admit_s, want.admit_s) << "prompt " << i;
+      EXPECT_EQ(r.ttft_ms, want.ttft_ms) << "prompt " << i;
+      EXPECT_EQ(r.latency_ms, want.latency_ms) << "prompt " << i;
+    }
+  }
+}
+
+// Step() is the scheduler's seam: driving it by hand until it reports
+// "drained" executes exactly the iterations Run() would, and its returned
+// prices add up to Run's report.
+TEST(ServingEngineTest, StepDrivenToDrainedMatchesRun) {
+  const TinyTransformer model = MakePrunedModel();
+  ServingEngineConfig cfg = TestEngineConfig(model.config());
+  cfg.prefill_chunk_tokens = 8;  // mixed prefill + decode iterations
+  ServingEngine reference(&model, cfg);
+  reference.InjectPoissonArrivals(RaggedTraffic(42));
+  const ExecServingReport report = reference.Run();
+  ASSERT_GT(report.iterations, 10);
+
+  ServingEngine engine(&model, cfg);
+  engine.InjectPoissonArrivals(RaggedTraffic(42));
+  int64_t steps = 0;
+  int64_t produced = 0;
+  double peak_cost_us = 0.0;
+  while (const std::optional<ServingStep> step = engine.Step()) {
+    ++steps;
+    produced += step->producers;
+    peak_cost_us = std::max(peak_cost_us, step->cost_us);
+    EXPECT_GE(step->batch, step->producers);
+    EXPECT_GT(step->cost_us, 0.0);
+  }
+  EXPECT_FALSE(engine.Step().has_value());  // drained stays drained
+  EXPECT_EQ(steps, report.iterations);
+  EXPECT_EQ(peak_cost_us / 1e3, report.peak_iter_ms);
+  EXPECT_EQ(produced, report.tokens_generated);
+  // Run after the Steps only assembles the report.
+  EXPECT_EQ(engine.Run().ToString(), report.ToString());
+  for (size_t i = 0; i < reference.results().size(); ++i) {
+    EXPECT_EQ(engine.results()[i].generated, reference.results()[i].generated);
+  }
+}
+
+// A config that cannot drive an engine names its first bad field instead of
+// dividing by zero in the cost model.
+TEST(ServingEngineTest, ValidateNamesTheBadField) {
+  const TinyTransformer model = MakePrunedModel();
+  EXPECT_EQ(TestEngineConfig(model.config()).Validate(), "");
+  EXPECT_EQ(ServingEngineConfig{}.Validate(), "cost.model.hidden must be > 0");
+
+  ServingEngineConfig cfg = TestEngineConfig(model.config());
+  cfg.cost.model.heads = 0;
+  EXPECT_EQ(cfg.Validate(), "cost.model.heads must be > 0");
+  cfg = TestEngineConfig(model.config());
+  cfg.cost.device = DeviceSpec{};
+  EXPECT_EQ(cfg.Validate(), "cost.device.dram_bw_gbs must be > 0");
+  cfg.cost.device.dram_bw_gbs = 1000.0;
+  EXPECT_EQ(cfg.Validate(), "cost.device.tc_fp16_tflops must be > 0");
+  cfg = TestEngineConfig(model.config());
+  cfg.max_batch = 0;
+  EXPECT_EQ(cfg.Validate(), "max_batch must be > 0");
+}
+
+TEST(ServingEngineDeathTest, DefaultConfigDiesNamingTheField) {
+  // The model is built inside the statement: the forked child must not
+  // inherit a running thread pool.
+  EXPECT_DEATH(
+      {
+        const TinyTransformer model = MakePrunedModel();
+        ServingEngine(&model, ServingEngineConfig{});
+      },
+      "ServingEngineConfig: cost.model.hidden must be > 0");
 }
 
 }  // namespace
