@@ -3,7 +3,8 @@
 // Times the repository's hot paths — the functional simulator (ReferenceGemm,
 // the SpInfer functional kernel, the TCA-BME encoder, SMBD decode) and the
 // production CPU backend (CpuSpmmInto at decode/prefill widths with thread
-// sweep points, plus a tiny-transformer decode step) — on fixed shapes and
+// sweep points, paired narrow-vs-N-blocked decode-width points, plus a
+// tiny-transformer decode step) — on fixed shapes and
 // writes the results to BENCH.json (name -> wall_ms / repetitions /
 // threads). The shapes and seeds are frozen so successive PRs can diff the
 // numbers directly (tools/bench_delta.py renders the diff against
@@ -30,8 +31,12 @@
 // This is a smoke harness, not a statistics engine: each point reports the
 // best of `reps` repetitions (default 5). Treat >1.3x movement on the same
 // machine as signal, anything less as noise.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -254,6 +259,67 @@ int Main(int argc, char** argv) {
       CpuSpmvInt8Into(encq, x1f, &ws, &out);
       g_sink = out.data()[0];
     });
+
+    // --- Decode widths between SpMV and n8 (the narrow kernel's range). ---
+    const HalfMatrix x2 = HalfMatrix::Random(kCpuSpmmK, 2, rng);
+    const HalfMatrix x4 = HalfMatrix::Random(kCpuSpmmK, 4, rng);
+    bench("cpu_spmm_n2", [&] {
+      CpuSpmmInto(enc, x2, &ws, &out);
+      g_sink = out.data()[0];
+    });
+    bench("cpu_spmm_n4", [&] {
+      CpuSpmmInto(enc, x4, &ws, &out);
+      g_sink = out.data()[0];
+    });
+
+    // Paired narrow-vs-N-blocked points: each repetition times the routed
+    // (narrow) call and then the pinned N-blocked reference on the same
+    // input, so both sides of cpu_spmm_narrow_pair_nN /
+    // cpu_spmm_nblocked_pair_nN see the same machine state; the printed
+    // ratio is the narrow kernel's in-process speedup.
+    const std::pair<int, const HalfMatrix*> widths[] = {
+        {1, &x1}, {2, &x2}, {4, &x4}, {8, &x8}};
+    for (const auto& [n, xp] : widths) {
+      const HalfMatrix& xn = *xp;
+      const auto timed_ms = [](const std::function<void()>& fn) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+            .count();
+      };
+      const auto narrow = [&] {
+        CpuSpmmInto(enc, xn, &ws, &out);
+        g_sink = out.data()[0];
+      };
+      const auto nblocked = [&] {
+        out.Reshape(enc.rows(), xn.cols());
+        out.Fill(0.0f);
+        CpuSpmmAccumulateIntoVariant(enc, xn, &ws, &out, ActiveCpuSpmmVariant());
+        g_sink = out.data()[0];
+      };
+      narrow();  // warm-up, as MinWallMs does
+      nblocked();
+      double best[2] = {0.0, 0.0};
+      for (int r = 0; r < reps; ++r) {
+        const double a = timed_ms(narrow);
+        const double b = timed_ms(nblocked);
+        best[0] = r == 0 ? a : std::min(best[0], a);
+        best[1] = r == 0 ? b : std::min(best[1], b);
+      }
+      const std::string suffix = "_pair_n" + std::to_string(n);
+      for (int side = 0; side < 2; ++side) {
+        BenchRecord rec;
+        rec.name = (side == 0 ? "cpu_spmm_narrow" : "cpu_spmm_nblocked") + suffix;
+        rec.wall_ms = best[side];
+        rec.repetitions = reps;
+        rec.threads = threads;
+        records.push_back(rec);
+        std::printf("%-28s %10.3f ms\n", rec.name.c_str(), rec.wall_ms);
+      }
+      std::printf("%-28s %10.2fx\n", ("narrow speedup n=" + std::to_string(n)).c_str(),
+                  best[1] / best[0]);
+    }
   }
 
   // --- Tiny-transformer decode step on the sparse serving path. ------------

@@ -1,15 +1,14 @@
-// Portable half of the v2 backend: the driver (workspace, N-blocking,
-// GroupTile-row parallelism, dispatch) plus the auto-vectorizing row update.
+// Portable half of the CPU backend: the drivers (workspace, routing by
+// width, GroupTile-row parallelism, dispatch) plus the portable kernels.
 //
-// Compiled with -ffp-contract=off (see src/core/CMakeLists.txt): the row
-// update must round every multiply and every add separately so its results
-// are bit-identical to the AVX2 unit, which uses explicit mul/add intrinsics.
+// Compiled with -ffp-contract=off (see src/core/CMakeLists.txt): every
+// multiply and add must round separately so results are bit-identical to the
+// AVX2 unit, which uses explicit mul/add intrinsics.
 #include "src/core/cpu_backend.h"
 
 #include <algorithm>
 
 #include "src/core/cpu_backend_inner.h"
-#include "src/core/cpu_spmv.h"
 #include "src/obs/trace.h"
 #include "src/util/check.h"
 #include "src/util/cpu_features.h"
@@ -23,38 +22,57 @@ namespace cpu_backend_detail {
 // variant shares one clean copy; see the declaration for why.
 uint64_t SpmmPhaseRecorder::Now() const { return obs::Tracer::Global().NowNs(); }
 
+void RowParallelSweep(
+    int64_t grid_rows, const RowTaskSpans& spans,
+    const std::function<void(int64_t, SpmmPhaseRecorder*)>& run) {
+  // The enabled check is hoisted out of the row loop: when tracing is off
+  // each task passes a null recorder and runs the untimed instantiation —
+  // zero instrumentation inside the tile walk.
+  const bool tracing = obs::TracingEnabled();
+  ParallelFor(0, grid_rows, [&](int64_t gtr) {
+    if (!tracing) {
+      run(gtr, nullptr);
+      return;
+    }
+    // Traced row task: accumulate phase nanoseconds across the task, then
+    // emit them as back-to-back synthetic child slices of the task span —
+    // Perfetto sees properly nested slices whose durations are the real
+    // per-phase totals. A phase fused into another (ns == 0) emits nothing.
+    SpmmPhaseRecorder rec;
+    obs::Tracer& tracer = obs::Tracer::Global();
+    const uint64_t task_start = tracer.NowNs();
+    run(gtr, &rec);
+    const uint64_t task_end = tracer.NowNs();
+    obs::TraceArg task_args[3] = {{"gt_row", gtr},
+                                  {"tiles", static_cast<int64_t>(rec.tiles)},
+                                  {"nnz", static_cast<int64_t>(rec.nnz)}};
+    tracer.Record(spans.task, task_start, task_end - task_start, task_args, 3);
+    const uint64_t phase_ns[3] = {rec.convert_ns, rec.decode_ns,
+                                  rec.accumulate_ns};
+    uint64_t slice_start = task_start;
+    for (int p = 0; p < 3; ++p) {
+      if (phase_ns[p] != 0) {
+        tracer.Record(spans.phases[p], slice_start, phase_ns[p]);
+        slice_start += phase_ns[p];
+      }
+    }
+  });
+}
+
 }  // namespace cpu_backend_detail
 
 namespace {
 
+using cpu_backend_detail::NarrowRowFn;
+using cpu_backend_detail::NarrowRowTask;
 using cpu_backend_detail::ProcessGroupTile;
 using cpu_backend_detail::RowTerm;
+using cpu_backend_detail::SpmmPhaseRecorder;
 
-// Portable register-tiled row update. The fixed-size inner loops (8 floats =
-// one or two vector registers on any target) auto-vectorize at -O2/-O3; the
+// Portable register-tiled row update. The fixed-size inner loop (8 floats =
+// one or two vector registers on any target) auto-vectorizes at -O2/-O3; the
 // t-loop keeps the accumulators live across the row's nonzeros.
 struct PortableRowFma {
-  void Row8(float* orow, uint64_t rowmask, const float* vals,
-            const float* xcol0, int64_t n) const {
-    float acc[8];
-    for (int u = 0; u < 8; ++u) {
-      acc[u] = orow[u];
-    }
-    int t = 0;
-    while (rowmask != 0) {
-      const int cc = std::countr_zero(rowmask);
-      rowmask &= rowmask - 1;
-      const float v = vals[t++];
-      const float* xr = xcol0 + cc * n;
-      for (int u = 0; u < 8; ++u) {
-        acc[u] += v * xr[u];
-      }
-    }
-    for (int u = 0; u < 8; ++u) {
-      orow[u] = acc[u];
-    }
-  }
-
   void operator()(float* orow, const RowTerm* terms, int count, int64_t nb) const {
     int64_t j = 0;
     for (; j + 8 <= nb; j += 8) {
@@ -95,7 +113,7 @@ struct PortableConvert {
 
 void ProcessGroupTilePortable(const TcaBmeMatrix& w, int64_t gt, const float* xf,
                               int64_t n, int64_t j0, int64_t nb, float* out,
-                              cpu_backend_detail::SpmmPhaseRecorder* rec) {
+                              SpmmPhaseRecorder* rec) {
   if (rec != nullptr) {
     ProcessGroupTile<true>(w, gt, xf, n, j0, nb, out, PortableRowFma{},
                            PortableConvert{}, rec);
@@ -105,35 +123,57 @@ void ProcessGroupTilePortable(const TcaBmeMatrix& w, int64_t gt, const float* xf
   }
 }
 
-using GroupTileFn = void (*)(const TcaBmeMatrix&, int64_t, const float*, int64_t,
-                             int64_t, int64_t, float*,
-                             cpu_backend_detail::SpmmPhaseRecorder*);
+template <int kN>
+struct PortableNarrowTile {
+  void operator()(uint64_t bitmap, const Half* run, int64_t ro, int64_t bt_c,
+                  const float* xf, float* acc, int64_t g) const {
+    float vals[kBitmapTileDim * kBitmapTileDim];
+    PortableConvert{}(run, vals, static_cast<size_t>(std::popcount(bitmap)));
+    cpu_backend_detail::NarrowScalarTile<kN, false>(bitmap, vals, ro, bt_c, 0,
+                                                    0, xf, acc, g);
+  }
+};
 
-GroupTileFn KernelFor(CpuSpmmVariant v) {
-  return v == CpuSpmmVariant::kAvx2 ? &cpu_backend_detail::ProcessGroupTileAvx2
-                                    : &ProcessGroupTilePortable;
+template <int kN>
+void NarrowRowPortable(const TcaBmeMatrix& w, int64_t gtr, const float* xf,
+                       float* out, SpmmPhaseRecorder* rec) {
+  if (rec != nullptr) {
+    NarrowRowTask<true, kN>(w, gtr, xf, out, PortableNarrowTile<kN>{}, rec);
+  } else {
+    NarrowRowTask<false, kN>(w, gtr, xf, out, PortableNarrowTile<kN>{});
+  }
 }
 
+NarrowRowFn NarrowRowFor(CpuSpmmVariant v, int64_t n) {
+  if (v == CpuSpmmVariant::kAvx2) {
+    return cpu_backend_detail::NarrowRowAvx2(n);
+  }
+  static constexpr NarrowRowFn kTable[kCpuSpmmNarrowMaxCols] = {
+      &NarrowRowPortable<1>, &NarrowRowPortable<2>, &NarrowRowPortable<3>,
+      &NarrowRowPortable<4>, &NarrowRowPortable<5>, &NarrowRowPortable<6>,
+      &NarrowRowPortable<7>, &NarrowRowPortable<8>};
+  return kTable[n - 1];
+}
+
+enum class Kernel { kNarrow, kNBlocked };
+
 // Shared accumulate core: fills the FP32 X panel once (`fill_panel` is the
-// only thing the FP16 and quantize-FP32 entry points differ in), then sweeps
-// N blocks x GroupTile columns inside a row-parallel loop. Each ParallelFor
-// index owns the output rows of one GroupTile grid row, so writes are
-// disjoint and the per-element accumulation order (N-block, then GroupTile
-// column, then storage bit order) is fixed regardless of thread count.
+// only thing the FP16 and quantize-FP32 entry points differ in), then runs
+// one task per GroupTile grid row. Each task owns the output rows of its
+// grid row, so writes are disjoint and the per-element accumulation order
+// (GroupTile column, then storage bit order) is fixed regardless of thread
+// count — and is the same in both kernels, which is why routing by width
+// changes no result bits.
 template <typename FillPanel>
 void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
                     const FillPanel& fill_panel, SpmmWorkspace* ws,
-                    FloatMatrix* out, CpuSpmmVariant variant) {
+                    FloatMatrix* out, CpuSpmmVariant variant, Kernel kernel) {
   SPINFER_CHECK_EQ(w.cols(), x_rows);
   SPINFER_CHECK_EQ(out->rows(), w.rows());
   SPINFER_CHECK_EQ(out->cols(), n);
   if (n == 0 || w.rows() == 0) {
     return;
   }
-  // The enabled check is hoisted out of the row loop: when tracing is off
-  // each task passes a null recorder and runs the untimed ProcessGroupTile
-  // instantiation — zero instrumentation inside the tile walk.
-  const bool tracing = obs::TracingEnabled();
   obs::TraceScope call_scope("cpu_spmm");
   if (call_scope.active()) {
     call_scope.AddArg("m", w.rows());
@@ -150,71 +190,69 @@ void AccumulateCore(const TcaBmeMatrix& w, int64_t x_rows, int64_t n,
     fill_panel(xf);
   }
 
-  const GroupTileFn kernel = KernelFor(variant);
-  const int64_t grid_rows = w.gt_grid_rows();
-  const int64_t grid_cols = w.gt_grid_cols();
   float* out_data = out->data();
-  ParallelFor(0, grid_rows, [&](int64_t gtr) {
-    if (!tracing) {
-      for (int64_t j0 = 0; j0 < n; j0 += kCpuSpmmNBlock) {
-        const int64_t nb = std::min(kCpuSpmmNBlock, n - j0);
-        for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
-          kernel(w, gtr * grid_cols + gtc, xf, n, j0, nb, out_data, nullptr);
+  static constexpr cpu_backend_detail::RowTaskSpans kSpans{
+      "cpu_spmm.row_task",
+      {"cpu_spmm.convert", "cpu_spmm.decode", "cpu_spmm.accumulate"}};
+  if (kernel == Kernel::kNarrow) {
+    const NarrowRowFn row = NarrowRowFor(variant, n);
+    cpu_backend_detail::RowParallelSweep(
+        w.gt_grid_rows(), kSpans,
+        [&](int64_t gtr, SpmmPhaseRecorder* rec) { row(w, gtr, xf, out_data, rec); });
+    return;
+  }
+  const auto tile = variant == CpuSpmmVariant::kAvx2
+                        ? &cpu_backend_detail::ProcessGroupTileAvx2
+                        : &ProcessGroupTilePortable;
+  const int64_t grid_cols = w.gt_grid_cols();
+  cpu_backend_detail::RowParallelSweep(
+      w.gt_grid_rows(), kSpans, [&](int64_t gtr, SpmmPhaseRecorder* rec) {
+        for (int64_t j0 = 0; j0 < n; j0 += kCpuSpmmNBlock) {
+          const int64_t nb = std::min(kCpuSpmmNBlock, n - j0);
+          for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
+            tile(w, gtr * grid_cols + gtc, xf, n, j0, nb, out_data, rec);
+          }
         }
-      }
-      return;
-    }
-    // Traced row task: accumulate phase nanoseconds across the task, then
-    // emit them as back-to-back synthetic child slices of the task span —
-    // Perfetto sees properly nested slices whose durations are the real
-    // per-phase totals.
-    cpu_backend_detail::SpmmPhaseRecorder rec;
-    obs::Tracer& tracer = obs::Tracer::Global();
-    const uint64_t task_start = tracer.NowNs();
-    for (int64_t j0 = 0; j0 < n; j0 += kCpuSpmmNBlock) {
-      const int64_t nb = std::min(kCpuSpmmNBlock, n - j0);
-      for (int64_t gtc = 0; gtc < grid_cols; ++gtc) {
-        kernel(w, gtr * grid_cols + gtc, xf, n, j0, nb, out_data, &rec);
-      }
-    }
-    const uint64_t task_end = tracer.NowNs();
-    obs::TraceArg task_args[3] = {{"gt_row", gtr},
-                                  {"tiles", static_cast<int64_t>(rec.tiles)},
-                                  {"nnz", static_cast<int64_t>(rec.nnz)}};
-    tracer.Record("cpu_spmm.row_task", task_start, task_end - task_start,
-                  task_args, 3);
-    uint64_t slice_start = task_start;
-    tracer.Record("cpu_spmm.convert", slice_start, rec.convert_ns);
-    slice_start += rec.convert_ns;
-    tracer.Record("cpu_spmm.decode", slice_start, rec.decode_ns);
-    slice_start += rec.decode_ns;
-    tracer.Record("cpu_spmm.accumulate", slice_start, rec.accumulate_ns);
-  });
+      });
 }
 
-void AccumulateImpl(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
-                    FloatMatrix* out, CpuSpmmVariant variant) {
-  AccumulateCore(
-      w, x.rows(), x.cols(), [&](float* xf) { ToFloatInto(x, xf); }, ws, out,
-      variant);
+// Width routing of the dispatched entries: the narrow kernel where its
+// stack accumulator fits, the N-blocked kernel otherwise.
+Kernel RouteFor(const TcaBmeMatrix& w, int64_t n) {
+  return n <= kCpuSpmmNarrowMaxCols &&
+                 w.config().gt_rows <= cpu_backend_detail::kNarrowMaxGtRows
+             ? Kernel::kNarrow
+             : Kernel::kNBlocked;
 }
 
 // FP32 input: quantize to FP16 on the fly while filling the panel. The panel
 // bits equal float(Half(x[i])) — exactly what ToFloatInto produces from a
 // pre-converted HalfMatrix — so the two entry families are bit-identical.
-void QuantAccumulateImpl(const TcaBmeMatrix& w, const FloatMatrix& x,
-                         SpmmWorkspace* ws, FloatMatrix* out,
-                         CpuSpmmVariant variant) {
+void FillFromFloat(const FloatMatrix& x, float* xf) {
+  const float* src = x.data();
+  const int64_t size = x.size();
+  for (int64_t i = 0; i < size; ++i) {
+    xf[i] = Half(src[i]).ToFloat();
+  }
+}
+
+void AccumulateImpl(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
+                    FloatMatrix* out, CpuSpmmVariant variant, Kernel kernel) {
   AccumulateCore(
-      w, x.rows(), x.cols(),
-      [&](float* xf) {
-        const float* src = x.data();
-        const int64_t size = x.size();
-        for (int64_t i = 0; i < size; ++i) {
-          xf[i] = Half(src[i]).ToFloat();
-        }
-      },
-      ws, out, variant);
+      w, x.rows(), x.cols(), [&](float* xf) { ToFloatInto(x, xf); }, ws, out,
+      variant, kernel);
+}
+
+void QuantAccumulateImpl(const TcaBmeMatrix& w, const FloatMatrix& x,
+                         SpmmWorkspace* ws, FloatMatrix* out) {
+  AccumulateCore(
+      w, x.rows(), x.cols(), [&](float* xf) { FillFromFloat(x, xf); }, ws, out,
+      ActiveCpuSpmmVariant(), RouteFor(w, x.cols()));
+}
+
+void CheckVariant(CpuSpmmVariant v) {
+  SPINFER_CHECK_MSG(CpuSpmmVariantAvailable(v),
+                    "requested CPU SpMM variant is unavailable on this machine");
 }
 
 }  // namespace
@@ -245,23 +283,23 @@ CpuSpmmVariant ActiveCpuSpmmVariant() {
 void CpuSpmmAccumulateIntoVariant(const TcaBmeMatrix& w, const HalfMatrix& x,
                                   SpmmWorkspace* ws, FloatMatrix* out,
                                   CpuSpmmVariant v) {
-  SPINFER_CHECK_MSG(CpuSpmmVariantAvailable(v),
-                    "requested CPU SpMM variant is unavailable on this machine");
-  AccumulateImpl(w, x, ws, out, v);
+  CheckVariant(v);
+  AccumulateImpl(w, x, ws, out, v, Kernel::kNBlocked);
 }
 
-// Single-column calls (the batch-1 decode shape) route to the bitmap-direct
-// SpMV kernel: bit-identical on that shape by the shared-chain contract
-// (tests/cpu_spmv_test.cc drives both against each other), only faster. The
-// variant-pinned entry above stays unrouted on purpose — it is the N-blocked
-// reference those differential tests need.
+void CpuSpmmNarrowAccumulateIntoVariant(const TcaBmeMatrix& w,
+                                        const HalfMatrix& x, SpmmWorkspace* ws,
+                                        FloatMatrix* out, CpuSpmmVariant v) {
+  CheckVariant(v);
+  SPINFER_CHECK_MSG(RouteFor(w, x.cols()) == Kernel::kNarrow,
+                    "narrow CPU SpMM kernel needs 1..8 columns and GroupTiles "
+                    "of at most 256 rows");
+  AccumulateImpl(w, x, ws, out, v, Kernel::kNarrow);
+}
+
 void CpuSpmmAccumulateInto(const TcaBmeMatrix& w, const HalfMatrix& x,
                            SpmmWorkspace* ws, FloatMatrix* out) {
-  if (x.cols() == 1) {
-    CpuSpmvAccumulateInto(w, x, ws, out);
-    return;
-  }
-  AccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant());
+  AccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant(), RouteFor(w, x.cols()));
 }
 
 void CpuSpmmInto(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
@@ -269,20 +307,12 @@ void CpuSpmmInto(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
   SPINFER_CHECK_EQ(w.cols(), x.rows());
   out->Reshape(w.rows(), x.cols());
   out->Fill(0.0f);
-  if (x.cols() == 1) {
-    CpuSpmvAccumulateInto(w, x, ws, out);
-    return;
-  }
-  AccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant());
+  CpuSpmmAccumulateInto(w, x, ws, out);
 }
 
 void CpuSpmmQuantAccumulateInto(const TcaBmeMatrix& w, const FloatMatrix& x,
                                 SpmmWorkspace* ws, FloatMatrix* out) {
-  if (x.cols() == 1) {
-    CpuSpmvQuantAccumulateInto(w, x, ws, out);
-    return;
-  }
-  QuantAccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant());
+  QuantAccumulateImpl(w, x, ws, out);
 }
 
 void CpuSpmmQuantInto(const TcaBmeMatrix& w, const FloatMatrix& x,
@@ -290,11 +320,7 @@ void CpuSpmmQuantInto(const TcaBmeMatrix& w, const FloatMatrix& x,
   SPINFER_CHECK_EQ(w.cols(), x.rows());
   out->Reshape(w.rows(), x.cols());
   out->Fill(0.0f);
-  if (x.cols() == 1) {
-    CpuSpmvQuantAccumulateInto(w, x, ws, out);
-    return;
-  }
-  QuantAccumulateImpl(w, x, ws, out, ActiveCpuSpmmVariant());
+  QuantAccumulateImpl(w, x, ws, out);
 }
 
 FloatMatrix CpuSpmm(const TcaBmeMatrix& w, const HalfMatrix& x) {

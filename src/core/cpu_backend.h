@@ -1,29 +1,38 @@
-// Bitmap-direct CPU SpMM backend (v2: blocked, SIMD-dispatched, parallel).
+// Bitmap-direct CPU SpMM backend: the production CPU path for TCA-BME
+// models.
 //
 // The warp-level functional simulator (SpInferSpmmKernel::Run) exists to
 // validate the GPU algorithm bit-for-bit; it is deliberately literal and
-// slow. This backend is the *production CPU path* for TCA-BME models: it
-// walks each BitmapTile's 64-bit mask with count-trailing-zeros, consumes
-// the compressed Values run sequentially (the same order SMBD implies), and
-// FMAs whole X-row blocks — no fragment emulation. The tiny-transformer
-// example and the CPU-deployment story run on this.
+// slow. This backend walks each BitmapTile's 64-bit mask, consumes the
+// compressed Values run sequentially (the order SMBD implies), and never
+// emulates fragments. The tiny transformer, the serving engines and
+// SparseLinear run on it.
 //
-// v2 execution scheme:
+// Execution scheme:
 //   * The FP16 activation panel is converted to FP32 once per call into a
 //     reusable workspace (exact conversion, so results are unchanged).
-//   * Output columns are processed in blocks of kCpuSpmmNBlock; within a
-//     block, each interior BitmapTile row becomes one register-tiled update
-//     (accumulators stay in registers across up to 8 nonzeros).
-//   * The innermost row update is SIMD-dispatched at runtime: an AVX2 unit
-//     (compiled separately with -mavx2 -mfma) when the CPU supports it, a
-//     portable auto-vectorized loop otherwise. Both are compiled with FP
-//     contraction off and accumulate per element in the same order, so the
-//     two paths are bit-identical — dispatch changes speed, never results.
-//   * GroupTile rows are distributed over the global ThreadPool; each task
-//     owns a disjoint output-row range, so any thread count produces
+//   * One task per GroupTile grid row runs on the global ThreadPool; each
+//     task owns a disjoint output-row range, so any thread count produces
 //     bit-identical output.
-// Determinism: for a fixed input, output bits do not depend on thread count
-// or on which SIMD variant ran. tests/cpu_backend_test.cc enforces both.
+//   * Two kernels, routed by the activation width N:
+//       - N <= kCpuSpmmNarrowMaxCols (decode widths, SpMV is N = 1): the
+//         narrow kernel. A task copies its outputs once into a stack-resident
+//         lane-major accumulator; every BitmapTile is expanded once (AVX2:
+//         FP16 run widened in registers, permutation-LUT expand, 8x8
+//         transpose into per-column value vectors) and applied to all N
+//         columns with blend-masked mul/add chains across the tile's 8 rows;
+//         the outputs are stored once.
+//       - N > kCpuSpmmNarrowMaxCols (prefill widths): the N-blocked kernel.
+//         Output columns run in blocks of kCpuSpmmNBlock and each interior
+//         BitmapTile row becomes one register-tiled update of the output row.
+//   * Each kernel has a hand-written AVX2 variant (compiled separately with
+//     -mavx2 -mfma -mf16c, run after runtime feature detection) and a
+//     portable one. All are compiled with FP contraction off.
+// Determinism: both kernels form every output element as the same chain —
+// out + v*x over the element's nonzeros in ascending column order, separate
+// mul and add roundings — so output bits do not depend on the kernel, the
+// SIMD variant or the thread count. tests/cpu_backend_test.cc,
+// tests/cpu_spmv_test.cc and tests/cpu_spmm_narrow_test.cc enforce it.
 #pragma once
 
 #include "src/format/tca_bme.h"
@@ -33,11 +42,16 @@
 
 namespace spinfer {
 
-// Output-column span one pass over the compressed Values stream covers.
-// Decode-time N (<= 128) takes a single pass; larger N is blocked so the
-// output tile a GroupTile row touches stays cache-resident. Within a pass
-// the row updates block by 32 floats (four AVX2 accumulators); the portable
-// loop blocks the same way so both variants share one traversal.
+// Widest activation panel the narrow kernel takes. Decode-only serving steps
+// are at most one column per running sequence (ServingEngineConfig's default
+// max_batch is 8), and on a 4-core AVX2 host the narrow kernel beats the
+// N-blocked one at every width up to 8 (DESIGN.md, CPU backend). Wider
+// panels — prefill chunks and prefill-carrying steps — stay N-blocked.
+inline constexpr int64_t kCpuSpmmNarrowMaxCols = 8;
+
+// Output-column span one pass of the N-blocked kernel over the compressed
+// Values stream covers. N <= 128 takes a single pass; larger N is blocked so
+// the output tile a GroupTile row touches stays cache-resident.
 inline constexpr int64_t kCpuSpmmNBlock = 128;
 
 // Reusable scratch for the SpMM/SpMV calls: the FP32 X panel (half->float is
@@ -64,10 +78,9 @@ struct SpmmWorkspace {
 
 // out = W * X, reshaping `out` to (w.rows(), x.cols()). All scratch comes
 // from `ws`; after `out` and `ws` have seen the call's shapes once, repeat
-// calls are allocation-free. Single-column calls (x.cols() == 1, the batch-1
-// decode shape) route to the bitmap-direct SpMV kernel (src/core/cpu_spmv.h)
-// transparently: it is bit-identical to the N-blocked path on that shape,
-// only faster.
+// calls are allocation-free. Routes by width as described above (GroupTiles
+// taller than 256 rows exceed the narrow kernel's stack accumulator and stay
+// N-blocked at every width); the route never changes result bits.
 void CpuSpmmInto(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
                  FloatMatrix* out);
 
@@ -110,11 +123,18 @@ CpuSpmmVariant ActiveCpuSpmmVariant();
 
 // Accumulate-form entry with the variant pinned; CHECK-fails if `v` is
 // unavailable. This is how the bit-identity tests drive both paths on one
-// machine. Deliberately NOT routed to SpMV at N == 1: this entry always runs
-// the N-blocked tiling, which makes it the reference the SpMV differential
-// tests compare against.
+// machine. Deliberately NOT routed by width: this entry always runs the
+// N-blocked kernel, which makes it the reference the narrow-kernel
+// differential tests compare against.
 void CpuSpmmAccumulateIntoVariant(const TcaBmeMatrix& w, const HalfMatrix& x,
                                   SpmmWorkspace* ws, FloatMatrix* out,
                                   CpuSpmmVariant v);
+
+// Accumulate-form entry pinned to the narrow kernel and variant `v`;
+// CHECK-fails unless x.cols() <= kCpuSpmmNarrowMaxCols, the GroupTiles are at
+// most 256 rows tall and `v` is available.
+void CpuSpmmNarrowAccumulateIntoVariant(const TcaBmeMatrix& w,
+                                        const HalfMatrix& x, SpmmWorkspace* ws,
+                                        FloatMatrix* out, CpuSpmmVariant v);
 
 }  // namespace spinfer

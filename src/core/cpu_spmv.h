@@ -1,35 +1,20 @@
-// Bitmap-direct CPU SpMV: the batch-1 decode fast path.
+// CPU SpMV: single-column (batch-1 decode) matmuls.
 //
-// At N == 1 the N-blocked CpuSpmm register tiling degenerates — every
-// "register tile" holds a single useful lane, and the RowTerm staging that
-// amortizes across output columns amortizes across nothing. Single-stream
-// decode (TinyTransformer::DecodeStep, ServingEngine at batch 1) lives in
-// exactly that regime, which is the low-sparsity SpMV problem MACKO and the
-// block-extraction SpMV line of work target (PAPERS.md). This kernel family
-// walks each GroupTile's compressed Values run once, skips empty BitmapTiles
-// via the 64-bit masks, and keeps one scalar accumulator per output row; the
-// AVX2 unit vectorizes *across the 8 rows of a BitmapTile* (expand the
-// row-major Values run with a permutation LUT, transpose 8x8, sweep columns
-// with a blend-masked mul/add), which preserves each row's scalar
-// accumulation chain exactly.
+// FP16 weights: SpMV is the N = 1 case of the narrow SpMM kernel
+// (src/core/cpu_backend.h). These entry points are thin wrappers over the
+// CpuSpmm* entries for callers that hold a single column; they CHECK
+// x.cols() == 1 and otherwise behave, bit for bit, exactly like the CpuSpmm*
+// entry they wrap.
 //
-// Contracts, matching CpuSpmm v2:
-//   * Bit-identity with CpuSpmm at N = 1: same products, same per-element
-//     order (ascending column within each GroupTile row sweep), separate
-//     mul/add roundings (-ffp-contract=off, no FMA). The public CpuSpmm*
-//     entry points route N == 1 calls here, and the batched-vs-single
-//     differential tests depend on the outputs matching bitwise.
-//   * Determinism: output bits do not depend on thread count (GroupTile grid
-//     rows own disjoint output rows) or on which SIMD variant ran.
-//   * Allocation-free when warm: all scratch lives in SpmmWorkspace, grown
-//     monotonically.
-//
-// The INT8 entry points run over TcaBmeQuantMatrix weights with activations
-// quantized per call (symmetric absmax over the vector, codes in [-127,127]
-// held as int16 for widening multiply-adds). Per BitmapTile row the integer
-// dot is exact in int32 and folded into the output with a single
-// mul-then-add of scale * float(idot) — see cpu_spmv_inner.h for the
-// accumulation-order contract.
+// INT8 weights: the CpuSpmvInt8* entries run over TcaBmeQuantMatrix weights
+// with activations quantized per call (symmetric absmax over the vector,
+// codes in [-127,127] held as int16 for widening multiply-adds). Per
+// BitmapTile row the integer dot is exact in int32 and folded into the output
+// with a single mul-then-add of scale * float(idot) — see cpu_spmv_inner.h
+// for the accumulation-order contract. Output bits do not depend on thread
+// count (GroupTile grid rows own disjoint output rows) or on which SIMD
+// variant ran, and warm calls are allocation-free (all scratch lives in
+// SpmmWorkspace, grown monotonically).
 #pragma once
 
 #include "src/core/cpu_backend.h"
@@ -40,7 +25,7 @@
 namespace spinfer {
 
 // out = W * x for a single-column x (x.cols() == 1), reshaping `out` to
-// (w.rows(), 1). Bit-identical to CpuSpmmInto on the same inputs.
+// (w.rows(), 1): CpuSpmmInto on a single column.
 void CpuSpmvInto(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
                  FloatMatrix* out);
 
@@ -48,9 +33,8 @@ void CpuSpmvInto(const TcaBmeMatrix& w, const HalfMatrix& x, SpmmWorkspace* ws,
 void CpuSpmvAccumulateInto(const TcaBmeMatrix& w, const HalfMatrix& x,
                            SpmmWorkspace* ws, FloatMatrix* out);
 
-// FP32-activation forms: elements are rounded to FP16 while the panel is
-// built, bit-identical to CpuSpmmQuant* at N = 1 (and to converting x to a
-// HalfMatrix first).
+// FP32-activation forms: CpuSpmmQuant* on a single column (elements are
+// rounded to FP16 while the panel is built).
 void CpuSpmvQuantInto(const TcaBmeMatrix& w, const FloatMatrix& x,
                       SpmmWorkspace* ws, FloatMatrix* out);
 void CpuSpmvQuantAccumulateInto(const TcaBmeMatrix& w, const FloatMatrix& x,
@@ -65,8 +49,8 @@ void CpuSpmvInt8AccumulateInto(const TcaBmeQuantMatrix& w, const FloatMatrix& x,
                                SpmmWorkspace* ws, FloatMatrix* out);
 
 // Variant-pinned entries for the bit-identity tests and benches; CHECK-fail
-// if `v` is unavailable (same gate as CpuSpmmVariantAvailable — the SpMV
-// AVX2 unit shares the SpMM compile/runtime requirements).
+// if `v` is unavailable (same gate as CpuSpmmVariantAvailable). The FP16 one
+// is CpuSpmmNarrowAccumulateIntoVariant on a single column.
 void CpuSpmvAccumulateIntoVariant(const TcaBmeMatrix& w, const HalfMatrix& x,
                                   SpmmWorkspace* ws, FloatMatrix* out,
                                   CpuSpmmVariant v);

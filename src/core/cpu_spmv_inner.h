@@ -1,14 +1,10 @@
-// Internal: the GroupTile traversal shared by every CPU SpMV SIMD variant.
+// Internal: the INT8 SpMV GroupTile traversal shared by its SIMD variants.
 //
-// The SpMV (N == 1) kernel family is a sibling of the SpMM traversal in
-// cpu_backend_inner.h, specialized for a single output column: there is no
-// activation panel blocking, no RowTerm staging, and each BitmapTile row
-// collapses to one scalar accumulator. The bitmap walk, Values-cursor
-// arithmetic, and ragged-edge handling again live here exactly once, so a
-// variant can only disagree about *scheduling* identical per-element
-// mul-then-add chains — never about which products to form. That is the
-// bit-identity contract tests/cpu_spmv_test.cc enforces against CpuSpmm at
-// N = 1.
+// The FP16 SpMV is the N = 1 case of the narrow SpMM kernel
+// (cpu_backend_inner.h). This is the quantized-weight sibling: it walks the
+// same storage order through ForEachBitmapTile, so a variant can only
+// disagree about *scheduling* the exact integer dots — never about which
+// products to form.
 //
 // Do not include outside src/core/cpu_spmv*.cc and tests.
 #pragma once
@@ -18,120 +14,20 @@
 #include <cstring>
 
 #include "src/core/cpu_backend_inner.h"
-#include "src/format/tca_bme.h"
 #include "src/format/tca_bme_quant.h"
 
 namespace spinfer {
 namespace cpu_spmv_detail {
 
-// SpMV reuses the SpMM phase recorder (convert/decode/accumulate split) and
-// its out-of-line Now(); the driver emits the same synthetic child slices
-// under a "cpu_spmv.row_task" span.
+// INT8 SpMV reuses the SpMM phase recorder and its out-of-line Now(); the
+// driver emits convert/accumulate child slices under a "cpu_spmv.row_task"
+// span.
 using cpu_backend_detail::SpmmPhaseRecorder;
 
-// Interior-tile staging is padded so the AVX2 row-expansion loads (8 floats /
-// 16 codes starting at an arbitrary in-tile offset) always stay inside the
-// stack array instead of overreading the heap Values stream at the last tile.
-inline constexpr int kSpmvStagePadFloats = 8;
+// Interior-tile staging is padded so the AVX2 row-expansion loads (16 codes
+// starting at an arbitrary in-tile offset) always stay inside the stack
+// array instead of overreading the heap codes stream at the last tile.
 inline constexpr int kSpmvStagePadCodes = 16;
-
-// FP16 tile contract — tile_fn(bitmap, pc, tile_vals, bt_r, bt_c, xf, out)
-// performs, for every set bit (rr, cc) of `bitmap` in ascending-cc order
-// within each row rr:
-//     out[bt_r + rr] = out[bt_r + rr] + tile_vals[t] * xf[bt_c + cc]
-// where t is the bit's rank in bit order, with one rounding for the multiply
-// and one for the add (the variant TUs are compiled with -ffp-contract=off,
-// and the AVX2 unit uses explicit mul/add — never FMA). Each output row's
-// chain is a pure ascending-column scalar recurrence, so any vectorization
-// *across rows* (the AVX2 unit's scheme) produces the same bits as the
-// scalar walk. This is also exactly the chain CpuSpmm's RowTerm path forms
-// at nb == 1, which is what makes SpMV == SpMM bitwise at N = 1.
-
-// Shared scalar interior tile: the portable variant's tile_fn and the AVX2
-// unit's low-popcount fallback. `static`, not `inline`, for the same
-// COMDAT-merging reason as EdgeBitmapTile (see cpu_backend_inner.h).
-static inline void ScalarSpmvTile(uint64_t bitmap, const float* tile_vals,
-                                  int64_t bt_r, int64_t bt_c, const float* xf,
-                                  float* out) {
-  const float* xt = xf + bt_c;
-  int t = 0;
-  for (int rr = 0; rr < kBitmapTileDim; ++rr) {
-    uint64_t rowmask = (bitmap >> (rr * kBitmapTileDim)) & 0xFFull;
-    if (rowmask == 0) {
-      continue;
-    }
-    float acc = out[bt_r + rr];
-    while (rowmask != 0) {
-      const int cc = std::countr_zero(rowmask);
-      rowmask &= rowmask - 1;
-      acc += tile_vals[t++] * xt[cc];
-    }
-    out[bt_r + rr] = acc;
-  }
-}
-
-// Applies one GroupTile's nonzeros to the single output column, reading the
-// fp32 activation vector `xf` (length w.cols()). Identical storage-order walk
-// to ProcessGroupTile: TCTiles column-major, quadrants TL,BL,TR,BR, so the
-// Values cursor advances without index lookups and, per output row, columns
-// are visited in ascending order across the whole GroupTile row. Ragged
-// edges reuse the SpMM edge path at n=1/j0=0/nb=1 — shared guarded code, no
-// chance of edge divergence between SpMM and SpMV.
-template <bool kTimed, typename TileFn, typename ConvertFn>
-static void ProcessGroupTileSpmv(const TcaBmeMatrix& w, int64_t gt,
-                                 const float* xf, float* out,
-                                 const TileFn& tile_fn, const ConvertFn& convert,
-                                 SpmmPhaseRecorder* rec = nullptr) {
-  const Half* hvalues = w.values().data();
-  const int64_t m = w.rows();
-  const int64_t k = w.cols();
-  const TcaBmeConfig& cfg = w.config();
-  const int tc_rows = w.tc_rows_per_gt();
-  const int tc_cols = w.tc_cols_per_gt();
-  const int64_t base_r = (gt / w.gt_grid_cols()) * cfg.gt_rows;
-  const int64_t base_c = (gt % w.gt_grid_cols()) * cfg.gt_cols;
-  size_t cursor = w.gtile_offsets()[gt];
-  for (int tcc = 0; tcc < tc_cols; ++tcc) {
-    for (int tcr = 0; tcr < tc_rows; ++tcr) {
-      const int tc = tcc * tc_rows + tcr;
-      for (int q = 0; q < 4; ++q) {
-        const uint64_t bitmap = w.bitmaps()[w.BitmapIndex(gt, tc, q)];
-        if (bitmap == 0) {
-          continue;
-        }
-        const int pc = std::popcount(bitmap);
-        alignas(32) float tile_vals[kBitmapTileDim * kBitmapTileDim +
-                                    kSpmvStagePadFloats];
-        uint64_t t_phase = 0;
-        if constexpr (kTimed) {
-          t_phase = rec->Now();
-        }
-        convert(hvalues + cursor, tile_vals, static_cast<size_t>(pc));
-        cursor += static_cast<size_t>(pc);
-        if constexpr (kTimed) {
-          rec->convert_ns += rec->Now() - t_phase;
-          rec->tiles += 1;
-          rec->nnz += static_cast<uint64_t>(pc);
-          t_phase = rec->Now();
-        }
-        const int64_t bt_r = base_r + static_cast<int64_t>(tcr) * kTcTileDim +
-                             (q % 2) * kBitmapTileDim;
-        const int64_t bt_c = base_c + static_cast<int64_t>(tcc) * kTcTileDim +
-                             (q / 2) * kBitmapTileDim;
-        if (bt_r + kBitmapTileDim > m || bt_c + kBitmapTileDim > k) {
-          cpu_backend_detail::EdgeBitmapTile(bitmap, tile_vals, bt_r, bt_c, m,
-                                             k, xf, /*n=*/1, /*j0=*/0,
-                                             /*nb=*/1, out);
-        } else {
-          tile_fn(bitmap, pc, tile_vals, bt_r, bt_c, xf, out);
-        }
-        if constexpr (kTimed) {
-          rec->accumulate_ns += rec->Now() - t_phase;
-        }
-      }
-    }
-  }
-}
 
 // INT8 tile contract — the quantized path accumulates per BitmapTile row:
 //     idot      = sum over set bits (rr, cc), ascending cc:
@@ -142,7 +38,9 @@ static void ProcessGroupTileSpmv(const TcaBmeMatrix& w, int64_t gt,
 // single mul and a single add per nonzero *row*, fixed order. That is the
 // INT8 accumulation-order contract (DESIGN.md): SIMD variants may reorder
 // the integer lanes freely and still produce identical bits.
-
+//
+// `static`, not `inline`, for the COMDAT-merging reason given at
+// ForEachBitmapTile.
 static inline void ScalarSpmvTileInt8(uint64_t bitmap, const int8_t* codes,
                                       float scale, int64_t bt_r, int64_t bt_c,
                                       const int16_t* xq, float* out) {
@@ -198,11 +96,10 @@ static inline void EdgeSpmvTileInt8(uint64_t bitmap, const int8_t* codes,
   }
 }
 
-// Quantized-weights walk. Same geometry as the FP16 walk (the two formats
-// share their storage nesting by construction); the cursor runs over INT8
-// codes and each tile carries its own dequantization scale, combined with
-// the caller's activation scale into one float factor per tile.
-// tile_fn(bitmap, pc, tile_codes, scale, bt_r, bt_c, xq, out).
+// Applies one GroupTile's nonzeros to the single output column. The cursor
+// runs over INT8 codes and each tile carries its own dequantization scale,
+// combined with the caller's activation scale into one float factor per
+// tile. tile_fn(bitmap, pc, tile_codes, scale, bt_r, bt_c, xq, out).
 template <bool kTimed, typename TileFn>
 static void ProcessGroupTileSpmvInt8(const TcaBmeQuantMatrix& w, int64_t gt,
                                      const int16_t* xq, float x_scale,
@@ -212,21 +109,9 @@ static void ProcessGroupTileSpmvInt8(const TcaBmeQuantMatrix& w, int64_t gt,
   const Half* scales = w.scales().data();
   const int64_t m = w.rows();
   const int64_t k = w.cols();
-  const TcaBmeConfig& cfg = w.config();
-  const int tc_rows = w.tc_rows_per_gt();
-  const int tc_cols = w.tc_cols_per_gt();
-  const int64_t base_r = (gt / w.gt_grid_cols()) * cfg.gt_rows;
-  const int64_t base_c = (gt % w.gt_grid_cols()) * cfg.gt_cols;
-  size_t cursor = w.gtile_offsets()[gt];
-  for (int tcc = 0; tcc < tc_cols; ++tcc) {
-    for (int tcr = 0; tcr < tc_rows; ++tcr) {
-      const int tc = tcc * tc_rows + tcr;
-      for (int q = 0; q < 4; ++q) {
-        const int64_t bi = w.BitmapIndex(gt, tc, q);
-        const uint64_t bitmap = w.bitmaps()[bi];
-        if (bitmap == 0) {
-          continue;
-        }
+  cpu_backend_detail::ForEachBitmapTile(
+      w, gt, [&](int64_t bi, uint64_t bitmap, size_t cursor, int64_t bt_r,
+                 int64_t bt_c) {
         const int pc = std::popcount(bitmap);
         alignas(16) int8_t tile_codes[kBitmapTileDim * kBitmapTileDim +
                                       kSpmvStagePadCodes];
@@ -235,7 +120,6 @@ static void ProcessGroupTileSpmvInt8(const TcaBmeQuantMatrix& w, int64_t gt,
           t_phase = rec->Now();
         }
         std::memcpy(tile_codes, codes + cursor, static_cast<size_t>(pc));
-        cursor += static_cast<size_t>(pc);
         const float scale = scales[bi].ToFloat() * x_scale;
         if constexpr (kTimed) {
           rec->convert_ns += rec->Now() - t_phase;
@@ -243,10 +127,6 @@ static void ProcessGroupTileSpmvInt8(const TcaBmeQuantMatrix& w, int64_t gt,
           rec->nnz += static_cast<uint64_t>(pc);
           t_phase = rec->Now();
         }
-        const int64_t bt_r = base_r + static_cast<int64_t>(tcr) * kTcTileDim +
-                             (q % 2) * kBitmapTileDim;
-        const int64_t bt_c = base_c + static_cast<int64_t>(tcc) * kTcTileDim +
-                             (q / 2) * kBitmapTileDim;
         if (bt_r + kBitmapTileDim > m || bt_c + kBitmapTileDim > k) {
           EdgeSpmvTileInt8(bitmap, tile_codes, scale, bt_r, bt_c, m, k, xq,
                            out);
@@ -256,17 +136,12 @@ static void ProcessGroupTileSpmvInt8(const TcaBmeQuantMatrix& w, int64_t gt,
         if constexpr (kTimed) {
           rec->accumulate_ns += rec->Now() - t_phase;
         }
-      }
-    }
-  }
+      });
 }
 
-// The AVX2 variant's per-GroupTile kernels, defined in cpu_spmv_avx2.cc
-// (built with -mavx2 -mfma -mf16c when available; CHECK-failing stubs
-// otherwise). Availability is exactly CpuSpmmVariantAvailable(kAvx2) — the
-// SpMV unit shares the SpMM compile/runtime gate.
-void ProcessGroupTileSpmvAvx2(const TcaBmeMatrix& w, int64_t gt, const float* xf,
-                              float* out, SpmmPhaseRecorder* rec);
+// The AVX2 variant's per-GroupTile kernel, defined in cpu_spmv_avx2.cc
+// (built with -mavx2 -mfma -mf16c when available; a CHECK-failing stub
+// otherwise). Availability is exactly CpuSpmmVariantAvailable(kAvx2).
 void ProcessGroupTileSpmvInt8Avx2(const TcaBmeQuantMatrix& w, int64_t gt,
                                   const int16_t* xq, float x_scale, float* out,
                                   SpmmPhaseRecorder* rec);

@@ -143,7 +143,7 @@ void BatchImpl(const PagedKvCache& cache, int64_t layer, int64_t heads,
                       task_args, 3);
         // The fused pass is one walk, but the phase split still matters for
         // profiling: synthetic child slices laid end to end, like
-        // cpu_spmv.convert/accumulate.
+        // cpu_spmm.convert/accumulate.
         tracer.Record("attn.qk", task_start, rec.qk_ns);
         tracer.Record("attn.softmax", task_start + rec.qk_ns, rec.softmax_ns);
         tracer.Record("attn.pv", task_start + rec.qk_ns + rec.softmax_ns,

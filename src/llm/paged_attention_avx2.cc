@@ -6,7 +6,7 @@
 //
 // Vectorization scheme, per the chain contract in paged_attention_inner.h:
 //   * QK vectorizes *across keys*: eight K rows of a block are 8x8-transposed
-//     (the same unpack/shuffle/permute2f128 kernel as cpu_spmv_avx2.cc) so
+//     (the same unpack/shuffle/permute2f128 kernel as cpu_backend_avx2.cc) so
 //     one ymm register holds eight keys' partial dots, and the head dimension
 //     is swept in ascending order with one vmulps + one vaddps per element —
 //     each lane is exactly the scalar ascending-r chain of one key. The

@@ -326,10 +326,12 @@ std::optional<ServingStep> ServingEngine::Step() {
     Start();
   }
   ServingMetrics& metrics = ServingMetrics::Get();
-  obs::RequestLog* const tl = kServingObs ? request_log_.get() : nullptr;
-  obs::FlightRecorder* const fr =
-      kServingObs ? flight_recorder_.get() : nullptr;
-  obs::SloTracker* const slo = kServingObs ? slo_tracker_.get() : nullptr;
+  // Plain loads, not `kServingObs ? p : nullptr`: a pointer the compiler can
+  // prove null makes GCC warn ('this' pointer is null) on every guarded call
+  // below even though `kServingObs &&` already folds those calls away.
+  obs::RequestLog* const tl = request_log_.get();
+  obs::FlightRecorder* const fr = flight_recorder_.get();
+  obs::SloTracker* const slo = slo_tracker_.get();
 
   const auto footprint_of = [this](const RequestRecord& r) {
     return substrate_->cache().BlocksForTokens(static_cast<int64_t>(r.prompt.size()) +

@@ -1,5 +1,6 @@
 #include "src/llm/sharded_engine.h"
 
+#include <cmath>
 #include <cstdio>
 
 #include "src/llm/parallel.h"
@@ -37,11 +38,27 @@ struct TpMetrics {
 
 }  // namespace
 
+std::string ShardedEngineConfig::Validate() const {
+  if (shards < 1) return "shards must be >= 1";
+  if (kv_block_tokens <= 0) return "kv_block_tokens must be > 0";
+  if (kv_num_blocks <= 0) return "kv_num_blocks must be > 0";
+  if (shards > 1) {
+    if (!std::isfinite(device.link_bw_gbs) || device.link_bw_gbs <= 0.0) {
+      return "device.link_bw_gbs must be finite and > 0";
+    }
+    if (!std::isfinite(device.link_latency_us) || device.link_latency_us < 0.0) {
+      return "device.link_latency_us must be finite and >= 0";
+    }
+  }
+  return "";
+}
+
 ShardedEngine::ShardedEngine(const TinyTransformer* model,
                              const ShardedEngineConfig& cfg)
     : model_(model), cfg_(cfg) {
   SPINFER_CHECK(model != nullptr);
-  SPINFER_CHECK(cfg.shards >= 1);
+  SPINFER_CHECK_MSG(cfg.Validate().empty(),
+                    "ShardedEngineConfig: " << cfg.Validate());
   PagedKvCacheConfig kv =
       model->KvCacheConfig(cfg.kv_block_tokens, cfg.kv_num_blocks);
   kv.kv_dim /= cfg.shards;

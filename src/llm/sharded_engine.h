@@ -56,6 +56,13 @@ struct ShardedEngineConfig {
   // Interconnect pricing the virtual ring all-reduces (link_bw_gbs /
   // link_latency_us are the fields that matter).
   DeviceSpec device;
+
+  // Empty when the config is usable, else the first bad field: shards < 1,
+  // a non-positive KV geometry, or — with more than one shard — a link
+  // bandwidth that is not finite and > 0 or a link latency that is not
+  // finite and >= 0 (a zero bandwidth would price every step's all-reduce
+  // at +inf). The ShardedEngine constructor CHECKs it.
+  std::string Validate() const;
 };
 
 class ShardedEngine : public ServingSubstrate {

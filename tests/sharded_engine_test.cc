@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <string>
 #include <vector>
 
@@ -265,6 +267,56 @@ TEST(ShardedEngineTest, ShardPoolsDrainInLockstep) {
   EXPECT_EQ(substrate.cache().used_blocks(), 0);
   EXPECT_EQ(substrate.cache().WastedTokenSlots(), 0);
   ThreadPool::SetGlobalThreads(0);
+}
+
+TEST(ShardedEngineTest, ValidateNamesTheBadField) {
+  EXPECT_EQ(TestShardConfig(2).Validate(), "");
+  EXPECT_EQ(TestShardConfig(1).Validate(), "");
+  // A single shard never prices the interconnect, so its link may be unset.
+  ShardedEngineConfig single = TestShardConfig(1);
+  single.device.link_bw_gbs = 0.0;
+  EXPECT_EQ(single.Validate(), "");
+
+  ShardedEngineConfig cfg = TestShardConfig(2);
+  cfg.shards = 0;
+  EXPECT_EQ(cfg.Validate(), "shards must be >= 1");
+  cfg = TestShardConfig(2);
+  cfg.kv_block_tokens = 0;
+  EXPECT_EQ(cfg.Validate(), "kv_block_tokens must be > 0");
+  cfg = TestShardConfig(2);
+  cfg.kv_num_blocks = -1;
+  EXPECT_EQ(cfg.Validate(), "kv_num_blocks must be > 0");
+  for (const double bw : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+    cfg = TestShardConfig(2);
+    cfg.device.link_bw_gbs = bw;
+    EXPECT_EQ(cfg.Validate(), "device.link_bw_gbs must be finite and > 0") << bw;
+  }
+  for (const double lat : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    cfg = TestShardConfig(2);
+    cfg.device.link_latency_us = lat;
+    EXPECT_EQ(cfg.Validate(), "device.link_latency_us must be finite and >= 0")
+        << lat;
+  }
+  // The first bad field wins.
+  cfg = TestShardConfig(2);
+  cfg.kv_num_blocks = 0;
+  cfg.device.link_bw_gbs = 0.0;
+  EXPECT_EQ(cfg.Validate(), "kv_num_blocks must be > 0");
+}
+
+TEST(ShardedEngineDeathTest, DefaultConfigDiesNamingTheField) {
+  // The default DeviceSpec has no interconnect (link_bw_gbs = 0) while the
+  // default config has two shards: every sharded step would price at +inf.
+  // The model is built inside the statement: the forked child must not
+  // inherit a running thread pool.
+  EXPECT_DEATH(
+      {
+        const TinyTransformer model = MakePrunedModel(TestModelConfig());
+        ShardedEngine(&model, ShardedEngineConfig{});
+      },
+      "ShardedEngineConfig: device.link_bw_gbs must be finite and > 0");
 }
 
 }  // namespace

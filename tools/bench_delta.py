@@ -28,6 +28,8 @@ EXPECTED_BENCHES = (
     "spinfer_functional",
     "tca_bme_encode",
     "smbd_decode",
+    "cpu_spmm_n2",
+    "cpu_spmm_n4",
     "cpu_spmm_n8",
     "cpu_spmm_n64",
     "cpu_spmm_n64_t2",
@@ -35,6 +37,14 @@ EXPECTED_BENCHES = (
     "cpu_spmv",
     "cpu_spmv_portable",
     "cpu_spmv_int8",
+    "cpu_spmm_narrow_pair_n1",
+    "cpu_spmm_nblocked_pair_n1",
+    "cpu_spmm_narrow_pair_n2",
+    "cpu_spmm_nblocked_pair_n2",
+    "cpu_spmm_narrow_pair_n4",
+    "cpu_spmm_nblocked_pair_n4",
+    "cpu_spmm_narrow_pair_n8",
+    "cpu_spmm_nblocked_pair_n8",
     "tiny_transformer_decode_step",
     "paged_attention_ctx256",
     "paged_attention_ctx2048",
